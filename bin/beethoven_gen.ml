@@ -712,6 +712,18 @@ let sim_cmd =
       const sim_run $ sim_design_arg $ sim_backend_arg $ sim_cycles_arg
       $ seed_arg $ cores_arg)
 
+(* ---- determinism gate: serve, cluster, scenario and tune ---- *)
+
+(* Run [f] twice in-process: the same arguments must reproduce the same
+   [digest], byte for byte. Returns the first run's result and whether
+   the runs agreed; a divergence is reported on stderr under [name]. *)
+let double_run name ~digest f =
+  let r = f () in
+  let same = String.equal (digest r) (digest (f ())) in
+  if not same then
+    Printf.eprintf "%s: NON-DETERMINISTIC: same seed diverged\n" name;
+  (r, same)
+
 (* ---- serve subcommand: multi-tenant serving campaign ---- *)
 
 let serve_run seed n_clients n_tenants duration_us policy platform cores batch
@@ -757,17 +769,13 @@ let serve_run seed n_clients n_tenants duration_us policy platform cores batch
     if hang then Some (Fault.Plan.with_hang ~after:1 ~system:0 ~core:0 Fault.Plan.none)
     else None
   in
-  let r = Serve.run ?plan ~platform:plat cfg () in
-  (* determinism gate: the same seed must reproduce the same campaign,
-     down to every counter and quantile in the digest *)
-  let r2 = Serve.run ?plan ~platform:plat cfg () in
+  let r, deterministic =
+    double_run "serve" ~digest:Serve.digest (Serve.run ?plan ~platform:plat cfg)
+  in
   print_string (Serve.render r);
   Printf.printf "digest: %s\n" (Serve.digest r);
   let problems = Serve.violations r in
   List.iter (fun p -> Printf.eprintf "serve: accounting: %s\n" p) problems;
-  let deterministic = String.equal (Serve.digest r) (Serve.digest r2) in
-  if not deterministic then
-    Printf.eprintf "serve: NON-DETERMINISTIC: same seed diverged\n";
   if problems <> [] || not deterministic then exit 1
 
 let serve_clients_arg =
@@ -876,10 +884,9 @@ let cluster_run seed devices warm duration_us rate kills restores curve =
           (fun (dev, at_us) -> Cluster.Restore { at = at_us * 1_000_000; dev })
           restores
     in
-    let r = Cluster.run ~chaos cfg () in
-    (* determinism gate: the same seed must reproduce the same campaign,
-       down to every device generation and latency quantile *)
-    let r2 = Cluster.run ~chaos cfg () in
+    let r, deterministic =
+      double_run "cluster" ~digest:Cluster.digest (Cluster.run ~chaos cfg)
+    in
     print_string (Cluster.render r);
     Printf.printf "digest: %s\n" (Cluster.digest r);
     let problems = Cluster.violations r in
@@ -889,11 +896,6 @@ let cluster_run seed devices warm duration_us rate kills restores curve =
         r.Cluster.c_lost_acked;
     (if kills <> [] && r.Cluster.c_quarantines = 0 then
        Printf.eprintf "cluster: a kill was scheduled but nothing quarantined\n");
-    let deterministic =
-      String.equal (Cluster.digest r) (Cluster.digest r2)
-    in
-    if not deterministic then
-      Printf.eprintf "cluster: NON-DETERMINISTIC: same seed diverged\n";
     if
       problems <> []
       || r.Cluster.c_lost_acked <> 0
@@ -1001,17 +1003,13 @@ let scenario_run name seed list_only format =
         Printf.eprintf "unknown scenario %S (try --list)\n" name;
         exit 2
     | Some mk ->
-        (* determinism gate: the same scenario value must reproduce the
-           same transcript, entry times and bindings included *)
-        let r1 = Scenario.run (mk ~seed) in
-        let r2 = Scenario.run (mk ~seed) in
-        let t1 = Scenario.transcript_json r1
-        and t2 = Scenario.transcript_json r2 in
-        print_string (if format = "json" then t1 else Scenario.render r1);
-        let deterministic = String.equal t1 t2 in
-        if not deterministic then
-          Printf.eprintf
-            "scenario: NON-DETERMINISTIC: double-run transcripts differ\n";
+        let r1, deterministic =
+          double_run "scenario" ~digest:Scenario.transcript_json (fun () ->
+              Scenario.run (mk ~seed))
+        in
+        print_string
+          (if format = "json" then Scenario.transcript_json r1
+           else Scenario.render r1);
         List.iter
           (fun f -> Printf.eprintf "scenario: %s\n" f)
           r1.Scenario.res_failures;
@@ -1081,15 +1079,12 @@ let tune_run seed budget knobs phase_us ab_rounds require_promotion format =
     exit 2
   end;
   let phase_ps = phase_us * 1_000_000 in
-  (* determinism gate: the same arguments must reproduce the same Pareto
-     front, byte for byte *)
-  let r1 = Tune.run ~seed ~budget ~axes ~phase_ps ~ab_rounds () in
-  let r2 = Tune.run ~seed ~budget ~axes ~phase_ps ~ab_rounds () in
-  let j1 = Tune.pareto_json r1 and j2 = Tune.pareto_json r2 in
-  print_string (if format = "json" then j1 else Tune.render r1);
-  let deterministic = String.equal j1 j2 in
-  if not deterministic then
-    Printf.eprintf "tune: NON-DETERMINISTIC: double-run Pareto JSON differs\n";
+  let r1, deterministic =
+    double_run "tune" ~digest:Tune.pareto_json
+      (Tune.run ~seed ~budget ~axes ~phase_ps ~ab_rounds)
+  in
+  print_string
+    (if format = "json" then Tune.pareto_json r1 else Tune.render r1);
   List.iter
     (fun v -> Printf.eprintf "tune: violation: %s\n" v)
     r1.Tune.r_violations;

@@ -1,6 +1,6 @@
 module B = Beethoven
 module H = Runtime.Handle
-module S = Desim.Stats
+module D = Serve.Dispatch
 module Mix = Serve.Mix
 module Tenant = Serve.Tenant
 
@@ -88,18 +88,9 @@ type chaos =
 (* Cluster state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type request = {
-  cr_txn : int;  (* cluster-wide ack id: the dedup key *)
-  cr_tenant : int;
-  cr_class : Mix.klass;
-  cr_arrival : int;
-  cr_deadline : int;
-  mutable cr_attempts : int;  (* replay attempts so far *)
-  cr_k : (unit -> unit) option;  (* closed-loop continuation *)
-}
-
 type inflight = {
-  il_req : request;
+  il_req : D.req;
+  il_tenant : int;
   il_gen : int;  (* device generation the command was sent to *)
 }
 
@@ -108,13 +99,13 @@ type devstate = {
   dv_platform : Platform.Device.t;
   mutable dv_gen : int;
   mutable dv_handle : H.t;
-  mutable dv_inj : Fault.Injector.t option;
+  mutable dv_inj : Fault.Injector.t;
   mutable dv_tracer : Trace.t option;
   mutable dv_state : Health.state;
   mutable dv_frozen : bool;  (* engine excluded from the lockstep *)
   mutable dv_misses : int;  (* consecutive missed heartbeats *)
   mutable dv_brownout : int;  (* probes still inside a brownout window *)
-  mutable dv_vt : float;  (* per-device SFQ virtual time *)
+  dv_vt : D.vclock;  (* per-device SFQ virtual time *)
   dv_out : int array array;  (* [system][core] outstanding *)
   dv_inflight : (int, inflight) Hashtbl.t;  (* txn -> record *)
   mutable dv_dispatched : int;
@@ -124,28 +115,15 @@ type devstate = {
 }
 
 type ctstate = {
-  ct_t : Tenant.t;
+  ct_l : D.ledger;
   ct_index : int;
   mutable ct_home : int;  (* device slot *)
-  mutable ct_resident : H.remote_ptr option;
+  mutable ct_resident : (H.t * H.remote_ptr) option;
   mutable ct_degraded : bool;
-  ct_queue : request Queue.t;
-  mutable ct_vft : float;
-  mutable ct_offered : int;
-  mutable ct_admitted : int;
-  mutable ct_shed_queue : int;
-  mutable ct_shed_deadline : int;
-  mutable ct_shed_degraded : int;
-  mutable ct_completed : int;
-  mutable ct_failed : int;
-  mutable ct_bad : int;
-  mutable ct_slo_viol : int;
-  mutable ct_bytes : int;
-  ct_q_wait : S.series;
-  ct_service : S.series;
-  ct_collect : S.series;
-  ct_total : S.series;
 }
+
+let tenant ts = D.tenant ts.ct_l
+let tenant_name ts = (tenant ts).Tenant.t_name
 
 (* Coordinator agenda: host-level actions (heartbeats, chaos, drain
    deadlines, replay backoffs) executed between lockstep rounds, when
@@ -162,6 +140,7 @@ type cstate = {
   st_plan : Fault.Plan.t;
   st_policy : Fault.Policy.t option;
   st_tracer : Trace.t option;
+  st_sink : D.sink;
   mutable st_next_txn : int;
   st_acked : (int, unit) Hashtbl.t;
   mutable st_duplicates : int;
@@ -216,20 +195,11 @@ let transition st dv state =
 (* Device boot                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let kinds_used = Serve.kinds_used
-
-let sys_index kinds (kind : Mix.kind) =
-  let rec go i = function
-    | [] -> invalid_arg "Cluster: request kind has no deployed system"
-    | k :: tl -> if k = kind then i else go (i + 1) tl
-  in
-  go 0 kinds
-
 (* Boot one SoC generation into a slot. Each generation gets its own
    forked injector (scope = slot + devices * gen), so sibling devices
    and successive reboots draw from independent seeded streams. *)
 let boot_soc cfg ~plan ~policy ~traced ~slot ~gen ~platform =
-  let kinds = kinds_used cfg.cl_tenants in
+  let kinds = Serve.kinds_used cfg.cl_tenants in
   let systems =
     List.map (fun k -> Serve.system_of_kind k ~n_cores:cfg.cl_n_cores) kinds
   in
@@ -264,19 +234,19 @@ let fresh_device cfg ~plan ~policy ~traced ~slot ~state =
   let _, handle, inj, tracer =
     boot_soc cfg ~plan ~policy ~traced ~slot ~gen:0 ~platform
   in
-  let n_sys = List.length (kinds_used cfg.cl_tenants) in
+  let n_sys = List.length (Serve.kinds_used cfg.cl_tenants) in
   {
     dv_slot = slot;
     dv_platform = platform;
     dv_gen = 0;
     dv_handle = handle;
-    dv_inj = Some inj;
+    dv_inj = inj;
     dv_tracer = tracer;
     dv_state = state;
     dv_frozen = false;
     dv_misses = 0;
     dv_brownout = 0;
-    dv_vt = 0.;
+    dv_vt = { D.vt = 0. };
     dv_out = Array.init n_sys (fun _ -> Array.make cfg.cl_n_cores 0);
     dv_inflight = Hashtbl.create 64;
     dv_dispatched = 0;
@@ -301,12 +271,12 @@ let reboot st dv =
   in
   Desim.Engine.run ~until:(now st) engine;
   dv.dv_handle <- handle;
-  dv.dv_inj <- Some inj;
+  dv.dv_inj <- inj;
   dv.dv_tracer <- tracer;
   dv.dv_frozen <- false;
   dv.dv_misses <- 0;
   dv.dv_brownout <- 0;
-  dv.dv_vt <- 0.;
+  dv.dv_vt.vt <- 0.;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) dv.dv_out;
   Hashtbl.reset dv.dv_inflight;
   transition st dv Health.Standby
@@ -326,7 +296,7 @@ let pick_home st =
   Array.iter
     (fun ts ->
       if ts.ct_home >= 0 && not ts.ct_degraded then
-        load.(ts.ct_home) <- load.(ts.ct_home) +. ts.ct_t.Tenant.t_weight)
+        load.(ts.ct_home) <- load.(ts.ct_home) +. (tenant ts).Tenant.t_weight)
     st.st_tenants;
   let best = ref (-1) in
   Array.iter
@@ -337,31 +307,25 @@ let pick_home st =
     st.st_devices;
   if !best >= 0 then Some !best else None
 
-(* Move a tenant's residence: free the working set on the old device
-   (pure allocator bookkeeping even on a frozen device) and allocate on
-   the new home — the data-locality cost a re-shard pays. *)
+(* Move a tenant's residence: free the working set on the handle that
+   allocated it (pure allocator bookkeeping even on a frozen device) and
+   allocate on the new home — the data-locality cost a re-shard pays. *)
+let release_resident ts =
+  (match ts.ct_resident with Some (h, ptr) -> H.mfree h ptr | None -> ());
+  ts.ct_resident <- None
+
 let rehome st ts ~target =
-  let cfg = st.st_cfg in
-  (match (ts.ct_resident, ts.ct_home) with
-  | Some ptr, from when from >= 0 -> (
-      try H.mfree st.st_devices.(from).dv_handle ptr with _ -> ())
-  | _ -> ());
+  release_resident ts;
+  let h = st.st_devices.(target).dv_handle in
   ts.ct_home <- target;
-  ts.ct_resident <-
-    (if target >= 0 then
-       Some (H.malloc st.st_devices.(target).dv_handle cfg.cl_resident_bytes)
-     else None);
-  if target >= 0 then st.st_dirty <- true
+  ts.ct_resident <- Some (h, H.malloc h st.st_cfg.cl_resident_bytes);
+  st.st_dirty <- true
 
 let degrade st ts =
   if not ts.ct_degraded then begin
     ts.ct_degraded <- true;
     bump st "cluster.degraded";
-    (match (ts.ct_resident, ts.ct_home) with
-    | Some ptr, from when from >= 0 -> (
-        try H.mfree st.st_devices.(from).dv_handle ptr with _ -> ())
-    | _ -> ());
-    ts.ct_resident <- None;
+    release_resident ts;
     ts.ct_home <- -1
   end
 
@@ -369,111 +333,59 @@ let degrade st ts =
 (* Dispatch                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Least-outstanding-work core within a device's system, respecting the
-   per-core cap and preferring non-quarantined cores (same rule as the
-   single-SoC dispatcher). *)
 let choose_core st dv ~si =
-  let cap = st.st_cfg.cl_core_cap in
-  let out = dv.dv_out.(si) in
-  let best = ref (-1) and best_q = ref (-1) in
-  Array.iteri
-    (fun c o ->
-      if o < cap then
-        if H.is_quarantined dv.dv_handle ~system_id:si ~core_id:c then (
-          if !best_q < 0 || o < out.(!best_q) then best_q := c)
-        else if !best < 0 || o < out.(!best) then best := c)
-    out;
-  if !best >= 0 then Some !best else if !best_q >= 0 then Some !best_q
-  else None
+  D.choose_core dv.dv_handle ~system_id:si ~cap:st.st_cfg.cl_core_cap
+    dv.dv_out.(si)
 
 (* Settle a request's outcome against the cluster ledgers. The txn id
    is the ack id: the first completion wins; any later completion of
    the same txn (a browned-out device finishing a command that was
    already replayed elsewhere) is dropped by the dedup check. *)
-let ack st ts (r : request) ~replayed ~submit_ps ~seen_ps ~done_ps v expect =
-  if Hashtbl.mem st.st_acked r.cr_txn then begin
+let ack st ts (r : D.req) ~replayed ~submit_ps ~seen_ps ~done_ps ~ok =
+  if Hashtbl.mem st.st_acked r.rq_txn then begin
     st.st_duplicates <- st.st_duplicates + 1;
     bump st "cluster.duplicate_dropped"
   end
   else begin
-    Hashtbl.replace st.st_acked r.cr_txn ();
-    ts.ct_completed <- ts.ct_completed + 1;
-    if v <> expect then ts.ct_bad <- ts.ct_bad + 1;
-    ts.ct_bytes <- ts.ct_bytes + r.cr_class.Mix.k_bytes;
+    Hashtbl.replace st.st_acked r.rq_txn ();
     if replayed then st.st_replayed_ok <- st.st_replayed_ok + 1;
-    let us ps = float_of_int ps /. 1e6 in
-    let total = done_ps - r.cr_arrival in
-    S.observe ts.ct_q_wait (us (submit_ps - r.cr_arrival));
-    S.observe ts.ct_service (us (seen_ps - submit_ps));
-    S.observe ts.ct_collect (us (done_ps - seen_ps));
-    S.observe ts.ct_total (us total);
     st.st_win_completed <- st.st_win_completed + 1;
-    if total > ts.ct_t.Tenant.t_slo_ps then begin
-      ts.ct_slo_viol <- ts.ct_slo_viol + 1;
+    if D.complete st.st_sink ts.ct_l r ~ok ~submit_ps ~seen_ps ~done_ps then
       st.st_win_viol <- st.st_win_viol + 1
-    end;
-    bump st "cluster.completed"
   end;
-  match r.cr_k with Some k -> k () | None -> ()
+  D.resume r
 
-let fail_request st ts (r : request) =
-  ts.ct_failed <- ts.ct_failed + 1;
-  bump st "cluster.failed";
-  match r.cr_k with Some k -> k () | None -> ()
+let fail_request st ts r =
+  D.fail st.st_sink ts.ct_l;
+  D.resume r
 
 (* Submit one request on its tenant's home device. Runs only from the
    coordinator (between lockstep rounds) or from a callback of the same
    device's engine, so the target engine clock always equals cluster
    time. *)
-let rec submit st ts (r : request) =
+let rec submit st ts (r : D.req) =
   let dv = st.st_devices.(ts.ct_home) in
   let h = dv.dv_handle in
   let gen = dv.dv_gen in
-  let si = sys_index st.st_kinds r.cr_class.Mix.k_kind in
+  let si = D.system_index st.st_kinds r.rq_class.Mix.k_kind in
   match choose_core st dv ~si with
   | None -> assert false (* caller reserved capacity *)
   | Some core ->
       dv.dv_out.(si).(core) <- dv.dv_out.(si).(core) + 1;
       dv.dv_dispatched <- dv.dv_dispatched + 1;
-      let bytes = r.cr_class.Mix.k_bytes in
+      let bytes = r.rq_class.Mix.k_bytes in
       let a = H.malloc h bytes and b = H.malloc h bytes in
       let submit_ps = Desim.Engine.now (dev_engine dv) in
       let args, cmd, expect =
-        match r.cr_class.Mix.k_kind with
-        | Mix.Memcpy ->
-            ( [
-                ("src", Int64.of_int a.H.rp_addr);
-                ("dst", Int64.of_int b.H.rp_addr);
-                ("bytes", Int64.of_int bytes);
-              ],
-              Kernels.Memcpy.command,
-              Int64.of_int bytes )
-        | Mix.Vecadd ->
-            let n_eles = bytes / 4 in
-            ( [
-                ("addend", 1L);
-                ("vec_addr", Int64.of_int a.H.rp_addr);
-                ("out_addr", Int64.of_int b.H.rp_addr);
-                ("n_eles", Int64.of_int n_eles);
-              ],
-              Kernels.Vecadd.command,
-              Int64.of_int n_eles )
-        | Mix.Sort ->
-            (* the sort kernel's in2 channel is unused (in2_bytes = 0);
-               fresh zeroed device buffers sort deterministically *)
-            ( [
-                ("in1", Int64.of_int a.H.rp_addr);
-                ("in2", Int64.of_int a.H.rp_addr);
-                ("out", Int64.of_int b.H.rp_addr);
-              ],
-              Kernels.Machsuite_extra.command,
-              1L )
+        D.command r.rq_class.Mix.k_kind ~bytes ~src:a.H.rp_addr
+          ~dst:b.H.rp_addr
       in
-      let replayed = r.cr_attempts > 0 in
-      Hashtbl.replace dv.dv_inflight r.cr_txn { il_req = r; il_gen = gen };
+      let replayed = r.rq_attempts > 0 in
+      Hashtbl.replace dv.dv_inflight r.rq_txn
+        { il_req = r; il_tenant = ts.ct_index; il_gen = gen };
       let rh =
-        H.send ~queued_at:r.cr_arrival h
-          ~system:(Mix.kind_system r.cr_class.Mix.k_kind)
+        H.send ~queued_at:r.rq_arrival h
+          ~system:(Mix.kind_system r.rq_class.Mix.k_kind)
           ~core ~cmd ~args
       in
       H.on_settled rh (fun res ->
@@ -481,14 +393,12 @@ let rec submit st ts (r : request) =
              coordinator-driven send); if the generation moved on, the
              registry entry belongs to a newer boot and stays. *)
           let done_ps = Desim.Engine.now (dev_engine dv) in
-          (try
-             H.mfree h a;
-             H.mfree h b
-           with _ -> ());
+          H.mfree h a;
+          H.mfree h b;
           dv.dv_out.(si).(core) <- dv.dv_out.(si).(core) - 1;
-          (match Hashtbl.find_opt dv.dv_inflight r.cr_txn with
+          (match Hashtbl.find_opt dv.dv_inflight r.rq_txn with
           | Some il when il.il_gen = gen ->
-              Hashtbl.remove dv.dv_inflight r.cr_txn
+              Hashtbl.remove dv.dv_inflight r.rq_txn
           | _ -> ());
           (match res with
           | Ok v ->
@@ -502,16 +412,17 @@ let rec submit st ts (r : request) =
               | None -> ()
               | Some tr ->
                   ignore
-                    (Trace.complete_span tr ~start:r.cr_arrival ~stop:done_ps
-                       ~track:(Printf.sprintf "cluster/%s" ts.ct_t.Tenant.t_name)
-                       ~cat:"cluster" ~name:r.cr_class.Mix.k_label
+                    (Trace.complete_span tr ~start:r.rq_arrival ~stop:done_ps
+                       ~track:(Printf.sprintf "cluster/%s" (tenant_name ts))
+                       ~cat:"cluster" ~name:r.rq_class.Mix.k_label
                        ~args:
                          [
                            ("device", Trace.Int dv.dv_slot);
-                           ("txn", Trace.Int r.cr_txn);
+                           ("txn", Trace.Int r.rq_txn);
                          ]
                        ()));
-              ack st ts r ~replayed ~submit_ps ~seen_ps ~done_ps v expect
+              ack st ts r ~replayed ~submit_ps ~seen_ps ~done_ps
+                ~ok:(v = expect)
           | Error _ ->
               (* The device-local watchdog exhausted recovery (every
                  core quarantined). Retry elsewhere with backoff while
@@ -522,75 +433,50 @@ let rec submit st ts (r : request) =
 
 (* Bounded-exponential-backoff replay of a command that either lost its
    device (drain deadline passed) or failed device-local recovery. *)
-and retry_or_fail st ts (r : request) =
-  if Hashtbl.mem st.st_acked r.cr_txn then ()
-  else if r.cr_attempts >= st.st_cfg.cl_replay_max_retries then
+and retry_or_fail st ts (r : D.req) =
+  if Hashtbl.mem st.st_acked r.rq_txn then ()
+  else if r.rq_attempts >= st.st_cfg.cl_replay_max_retries then
     fail_request st ts r
   else begin
     let delay =
-      st.st_cfg.cl_replay_backoff_ps * (1 lsl r.cr_attempts)
+      st.st_cfg.cl_replay_backoff_ps * (1 lsl r.rq_attempts)
     in
-    r.cr_attempts <- r.cr_attempts + 1;
+    r.rq_attempts <- r.rq_attempts + 1;
     st.st_replays <- st.st_replays + 1;
     bump st "cluster.replay";
     schedule_action st ~at:(now st + delay) (fun () -> replay st ts r)
   end
 
-and replay st ts (r : request) =
-  if Hashtbl.mem st.st_acked r.cr_txn then ()
+and replay st ts (r : D.req) =
+  if Hashtbl.mem st.st_acked r.rq_txn then ()
   else if ts.ct_degraded || ts.ct_home < 0 then fail_request st ts r
   else begin
     let dv = st.st_devices.(ts.ct_home) in
-    let si = sys_index st.st_kinds r.cr_class.Mix.k_kind in
+    let si = D.system_index st.st_kinds r.rq_class.Mix.k_kind in
     if (not (is_active dv)) || choose_core st dv ~si = None then
       (* home busy or gone: burn an attempt and back off again *)
       retry_or_fail st ts r
     else submit st ts r
   end
 
-(* Shed expired heads of a tenant queue (per-tenant FIFO: an unexpired
-   head proves nothing behind it expired). A degraded tenant sheds its
-   whole queue — graceful degradation accounts those separately. *)
-let shed_queue_head st ts =
-  let t = now st in
-  let rec go () =
-    if ts.ct_degraded then
-      match Queue.take_opt ts.ct_queue with
-      | Some r ->
-          ts.ct_shed_degraded <- ts.ct_shed_degraded + 1;
-          bump st "cluster.shed_degraded";
-          (match r.cr_k with Some k -> k () | None -> ());
-          go ()
-      | None -> ()
-    else
-      match Queue.peek_opt ts.ct_queue with
-      | Some r when t > r.cr_deadline ->
-          ignore (Queue.pop ts.ct_queue);
-          ts.ct_shed_deadline <- ts.ct_shed_deadline + 1;
-          bump st "cluster.shed_deadline";
-          (match r.cr_k with Some k -> k () | None -> ());
-          go ()
-      | _ -> ()
-  in
-  go ()
-
-(* Start-time fair queueing across the tenants homed on one device —
-   the same SFQ rule as the single-SoC dispatcher, with a per-device
-   virtual clock. *)
+(* Start-time fair queueing across the tenants homed on one device, with
+   a per-device virtual clock. Every tenant's queue head is shed here,
+   homed on this device or not. *)
 let pick_next st dv =
   let cand = ref None in
   Array.iter
     (fun ts ->
-      shed_queue_head st ts;
+      let l = ts.ct_l in
+      D.shed st.st_sink l ~degraded:ts.ct_degraded;
       if ts.ct_home = dv.dv_slot && not ts.ct_degraded then
-        match Queue.peek_opt ts.ct_queue with
+        match D.head l with
         | None -> ()
         | Some r -> (
-            let si = sys_index st.st_kinds r.cr_class.Mix.k_kind in
+            let si = D.system_index st.st_kinds r.rq_class.Mix.k_kind in
             match choose_core st dv ~si with
             | None -> ()  (* system saturated on this device *)
             | Some _ ->
-                let key = Float.max ts.ct_vft dv.dv_vt in
+                let key = D.sfq_key l dv.dv_vt in
                 let better =
                   match !cand with None -> true | Some (k, _, _) -> key < k
                 in
@@ -599,22 +485,19 @@ let pick_next st dv =
   match !cand with
   | None -> None
   | Some (_, ts, r) ->
-      ignore (Queue.pop ts.ct_queue);
-      let start = Float.max ts.ct_vft dv.dv_vt in
-      ts.ct_vft <-
-        start +. (float_of_int r.cr_class.Mix.k_bytes /. ts.ct_t.Tenant.t_weight);
-      dv.dv_vt <- start;
+      D.pop st.st_sink ts.ct_l;
+      D.sfq_charge ts.ct_l r dv.dv_vt;
       Some (ts, r)
 
 let pump_device st dv =
-  if is_active dv then begin
-    let continue_ = ref true in
-    while !continue_ do
-      match pick_next st dv with
-      | None -> continue_ := false
-      | Some (ts, r) -> submit st ts r
-    done
-  end
+  let rec go () =
+    match pick_next st dv with
+    | None -> ()
+    | Some (ts, r) ->
+        submit st ts r;
+        go ()
+  in
+  if is_active dv then go ()
 
 let pump_all st =
   while st.st_dirty do
@@ -623,54 +506,10 @@ let pump_all st =
     (* a degraded tenant's queue still needs shedding even though no
        device pumps it *)
     Array.iter
-      (fun ts -> if ts.ct_degraded then shed_queue_head st ts)
+      (fun ts ->
+        if ts.ct_degraded then D.shed st.st_sink ts.ct_l ~degraded:true)
       st.st_tenants
   done
-
-(* ------------------------------------------------------------------ *)
-(* Admission + clients                                                *)
-(* ------------------------------------------------------------------ *)
-
-let offer st ts ~klass ~k =
-  ts.ct_offered <- ts.ct_offered + 1;
-  bump st "cluster.offered";
-  if Queue.length ts.ct_queue >= ts.ct_t.Tenant.t_queue_cap then begin
-    ts.ct_shed_queue <- ts.ct_shed_queue + 1;
-    bump st "cluster.shed_queue";
-    false
-  end
-  else begin
-    let t = now st in
-    let txn = st.st_next_txn in
-    st.st_next_txn <- txn + 1;
-    Queue.push
-      {
-        cr_txn = txn;
-        cr_tenant = ts.ct_index;
-        cr_class = klass;
-        cr_arrival = t;
-        cr_deadline = t + ts.ct_t.Tenant.t_deadline_ps;
-        cr_attempts = 0;
-        cr_k = k;
-      }
-      ts.ct_queue;
-    ts.ct_admitted <- ts.ct_admitted + 1;
-    bump st "cluster.admitted";
-    st.st_dirty <- true;
-    true
-  end
-
-(* The same seeded client machinery as the single-SoC campaign
-   (Serve.spawn_clients), generating arrivals on the host engine:
-   per-client streams derive from (seed, salt, tenant, client) only, so
-   the offered load is identical for any placement, device count, or
-   chaos schedule. *)
-let start_clients ?(salt = 0) ?(t0 = 0) ~horizon st =
-  Serve.spawn_clients ~engine:st.st_host ~seed:st.st_cfg.cl_seed ~salt
-    ~horizon ~t0
-    ~tenants:(Array.to_list (Array.map (fun ts -> ts.ct_t) st.st_tenants))
-    ~offer:(fun ~tenant ~klass ~k -> offer st st.st_tenants.(tenant) ~klass ~k)
-    ()
 
 (* ------------------------------------------------------------------ *)
 (* Health: quarantine, drain, re-shard, promotion                     *)
@@ -682,22 +521,17 @@ let start_clients ?(salt = 0) ?(t0 = 0) ~horizon st =
    device is frozen — a browned-out (alive) device gets no further
    engine time, so a late completion there can only arrive before this
    point and is deduped by the ack table. *)
+let replay_inflight st dv =
+  Hashtbl.fold (fun txn il acc -> (txn, il) :: acc) dv.dv_inflight []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (txn, il) ->
+         Hashtbl.remove dv.dv_inflight txn;
+         if not (Hashtbl.mem st.st_acked txn) then
+           retry_or_fail st st.st_tenants.(il.il_tenant) il.il_req)
+
 let finish_drain st dv ~gen =
   if dv.dv_gen = gen then begin
-    let stuck =
-      Hashtbl.fold
-        (fun txn il acc -> if il.il_gen = gen then (txn, il) :: acc else acc)
-        dv.dv_inflight []
-    in
-    let stuck = List.sort (fun (a, _) (b, _) -> compare a b) stuck in
-    List.iter
-      (fun (txn, il) ->
-        Hashtbl.remove dv.dv_inflight txn;
-        if not (Hashtbl.mem st.st_acked txn) then begin
-          let ts = st.st_tenants.(il.il_req.cr_tenant) in
-          retry_or_fail st ts il.il_req
-        end)
-      stuck;
+    replay_inflight st dv;
     dv.dv_frozen <- true;
     if dv.dv_state <> Health.Dead then transition st dv Health.Dead
   end
@@ -709,12 +543,9 @@ let quarantine_device st dv ~reason =
   if dv.dv_state <> Health.Quarantined && dv.dv_state <> Health.Dead then begin
     st.st_quarantines <- st.st_quarantines + 1;
     bump st "cluster.quarantine";
-    (match dv.dv_inj with
-    | Some inj ->
-        Fault.Injector.log inj ~now:(now st) ~cls:Fault.Class.Device_offline
-          ~kind:Fault.Log.Quarantined
-          ~site:(Printf.sprintf "dev%d: %s" dv.dv_slot reason)
-    | None -> ());
+    Fault.Injector.log dv.dv_inj ~now:(now st) ~cls:Fault.Class.Device_offline
+      ~kind:Fault.Log.Quarantined
+      ~site:(Printf.sprintf "dev%d: %s" dv.dv_slot reason);
     transition st dv Health.Quarantined;
     let victims =
       Array.to_list st.st_tenants
@@ -725,7 +556,7 @@ let quarantine_device st dv ~reason =
         match pick_home st with
         | Some target ->
             st.st_resharded <-
-              (ts.ct_t.Tenant.t_name, dv.dv_slot, target) :: st.st_resharded;
+              (tenant_name ts, dv.dv_slot, target) :: st.st_resharded;
             bump st "cluster.reshard";
             rehome st ts ~target
         | None -> ())
@@ -736,8 +567,8 @@ let quarantine_device st dv ~reason =
     |> List.filter (fun ts -> ts.ct_home = dv.dv_slot)
     |> List.sort (fun a b ->
            compare
-             (a.ct_t.Tenant.t_weight, a.ct_index)
-             (b.ct_t.Tenant.t_weight, b.ct_index))
+             ((tenant a).Tenant.t_weight, a.ct_index)
+             ((tenant b).Tenant.t_weight, b.ct_index))
     |> List.iter (fun ts -> degrade st ts);
     let gen = dv.dv_gen in
     schedule_action st
@@ -758,8 +589,8 @@ let promote st dv =
       |> List.filter (fun ts -> ts.ct_degraded)
       |> List.sort (fun a b ->
              compare
-               (b.ct_t.Tenant.t_weight, a.ct_index)
-               (a.ct_t.Tenant.t_weight, b.ct_index))
+               ((tenant b).Tenant.t_weight, a.ct_index)
+               ((tenant a).Tenant.t_weight, b.ct_index))
     in
     match degraded with
     | _ :: _ ->
@@ -767,14 +598,14 @@ let promote st dv =
           (fun ts ->
             ts.ct_degraded <- false;
             st.st_resharded <-
-              (ts.ct_t.Tenant.t_name, -1, dv.dv_slot) :: st.st_resharded;
+              (tenant_name ts, -1, dv.dv_slot) :: st.st_resharded;
             rehome st ts ~target:dv.dv_slot)
           degraded
     | [] -> (
         let cand = ref None in
         Array.iter
           (fun ts ->
-            let backlog = Queue.length ts.ct_queue in
+            let backlog = D.backlog ts.ct_l in
             if backlog > 0 && ts.ct_home >= 0 && ts.ct_home <> dv.dv_slot
             then
               match !cand with
@@ -784,15 +615,19 @@ let promote st dv =
         match !cand with
         | Some (_, ts) ->
             st.st_resharded <-
-              (ts.ct_t.Tenant.t_name, ts.ct_home, dv.dv_slot)
+              (tenant_name ts, ts.ct_home, dv.dv_slot)
               :: st.st_resharded;
             bump st "cluster.reshard";
             rehome st ts ~target:dv.dv_slot
         | None -> ())
   end
 
+let standby st =
+  Array.to_list st.st_devices
+  |> List.find_opt (fun dv -> dv.dv_state = Health.Standby && not dv.dv_frozen)
+
 let cluster_busy st =
-  Array.exists (fun ts -> Queue.length ts.ct_queue > 0) st.st_tenants
+  Array.exists (fun ts -> D.backlog ts.ct_l > 0) st.st_tenants
   || Array.exists (fun dv -> Hashtbl.length dv.dv_inflight > 0) st.st_devices
 
 (* One heartbeat round: probe every serving device, advance the health
@@ -808,38 +643,31 @@ let rec heartbeat st =
           let missed =
             if dv.dv_frozen then true
             else begin
-              (match dv.dv_inj with
-              | Some inj ->
-                  if
-                    dv.dv_brownout = 0
-                    && Fault.Injector.decide inj Fault.Class.Device_brownout
-                  then begin
-                    dv.dv_brownout <-
-                      1 + Fault.Injector.draw_int inj ~bound:cfg.cl_quarantine_misses;
-                    Fault.Injector.log inj ~now:(now st)
-                      ~cls:Fault.Class.Device_brownout ~kind:Fault.Log.Injected
-                      ~site:
-                        (Printf.sprintf "dev%d brownout %d probes" dv.dv_slot
-                           dv.dv_brownout)
-                  end
-              | None -> ());
+              let inj = dv.dv_inj in
+              if
+                dv.dv_brownout = 0
+                && Fault.Injector.decide inj Fault.Class.Device_brownout
+              then begin
+                dv.dv_brownout <-
+                  1 + Fault.Injector.draw_int inj ~bound:cfg.cl_quarantine_misses;
+                Fault.Injector.log inj ~now:(now st)
+                  ~cls:Fault.Class.Device_brownout ~kind:Fault.Log.Injected
+                  ~site:
+                    (Printf.sprintf "dev%d brownout %d probes" dv.dv_slot
+                       dv.dv_brownout)
+              end;
               if dv.dv_brownout > 0 then begin
                 dv.dv_brownout <- dv.dv_brownout - 1;
                 true
               end
-              else
-                match dv.dv_inj with
-                | Some inj ->
-                    if Fault.Injector.decide inj Fault.Class.Heartbeat_loss
-                    then begin
-                      Fault.Injector.log inj ~now:(now st)
-                        ~cls:Fault.Class.Heartbeat_loss
-                        ~kind:Fault.Log.Injected
-                        ~site:(Printf.sprintf "dev%d probe lost" dv.dv_slot);
-                      true
-                    end
-                    else false
-                | None -> false
+              else if Fault.Injector.decide inj Fault.Class.Heartbeat_loss
+              then begin
+                Fault.Injector.log inj ~now:(now st)
+                  ~cls:Fault.Class.Heartbeat_loss ~kind:Fault.Log.Injected
+                  ~site:(Printf.sprintf "dev%d probe lost" dv.dv_slot);
+                true
+              end
+              else false
             end
           in
           if missed then begin
@@ -860,13 +688,9 @@ let rec heartbeat st =
               dv.dv_misses <- 0;
               if dv.dv_state = Health.Suspect then begin
                 transition st dv Health.Healthy;
-                (match dv.dv_inj with
-                | Some inj ->
-                    Fault.Injector.log inj ~now:(now st)
-                      ~cls:Fault.Class.Heartbeat_loss
-                      ~kind:Fault.Log.Recovered
-                      ~site:(Printf.sprintf "dev%d probes resumed" dv.dv_slot)
-                | None -> ())
+                Fault.Injector.log dv.dv_inj ~now:(now st)
+                  ~cls:Fault.Class.Heartbeat_loss ~kind:Fault.Log.Recovered
+                  ~site:(Printf.sprintf "dev%d probes resumed" dv.dv_slot)
               end
             end
           end
@@ -884,12 +708,7 @@ let rec heartbeat st =
   if hot then st.st_strikes <- st.st_strikes + 1 else st.st_strikes <- 0;
   let stranded = Array.exists (fun ts -> ts.ct_degraded) st.st_tenants in
   if st.st_strikes >= cfg.cl_promote_strikes || stranded then begin
-    let standby =
-      Array.to_list st.st_devices
-      |> List.find_opt (fun dv ->
-             dv.dv_state = Health.Standby && not dv.dv_frozen)
-    in
-    match standby with
+    match standby st with
     | Some dv ->
         promote st dv;
         st.st_strikes <- 0
@@ -905,12 +724,9 @@ let rec heartbeat st =
 
 let kill_device st dv =
   if not dv.dv_frozen then begin
-    (match dv.dv_inj with
-    | Some inj ->
-        Fault.Injector.log inj ~now:(now st) ~cls:Fault.Class.Device_offline
-          ~kind:Fault.Log.Injected
-          ~site:(Printf.sprintf "dev%d offline" dv.dv_slot)
-    | None -> ());
+    Fault.Injector.log dv.dv_inj ~now:(now st) ~cls:Fault.Class.Device_offline
+      ~kind:Fault.Log.Injected
+      ~site:(Printf.sprintf "dev%d offline" dv.dv_slot);
     bump st "cluster.kill";
     (* the engine freezes: nothing in flight there ever settles; the
        heartbeat monitor notices, quarantines, drains, and re-shards *)
@@ -924,17 +740,7 @@ let restore_device st dv =
     (* a restore can land before the drain deadline fires; the reboot
        bumps the generation (making the pending drain a no-op), so
        replay whatever the dead generation still held first *)
-    let stuck =
-      Hashtbl.fold (fun txn il acc -> (txn, il) :: acc) dv.dv_inflight []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (txn, il) ->
-        if not (Hashtbl.mem st.st_acked txn) then begin
-          let ts = st.st_tenants.(il.il_req.cr_tenant) in
-          retry_or_fail st ts il.il_req
-        end)
-      stuck;
+    replay_inflight st dv;
     reboot st dv
   end
 
@@ -951,16 +757,21 @@ let restore_device st dv =
    clock agrees — so cross-engine calls (H.send from the coordinator,
    closed-loop wakeups on the host engine from a device completion) are
    always made at a single consistent cluster time. *)
+let live_engines st =
+  st.st_host
+  :: (Array.to_list st.st_devices
+     |> List.filter (fun dv -> not dv.dv_frozen)
+     |> List.map dev_engine)
+
+let advance_live st t =
+  List.iter
+    (fun e -> Desim.Engine.run ~until:t ~max_events:st.st_cfg.cl_max_events e)
+    (live_engines st)
+
 let drive st =
   let cfg = st.st_cfg in
-  let live_engines () =
-    st.st_host
-    :: (Array.to_list st.st_devices
-       |> List.filter (fun dv -> not dv.dv_frozen)
-       |> List.map dev_engine)
-  in
   let next_min () =
-    let engines = live_engines () in
+    let engines = live_engines st in
     let m =
       List.fold_left
         (fun acc e ->
@@ -996,12 +807,7 @@ let drive st =
     match next_min () with
     | None -> ()
     | Some t ->
-        let fire () =
-          List.iter
-            (fun e -> Desim.Engine.run ~until:t ~max_events:cfg.cl_max_events e)
-            (live_engines ())
-        in
-        fire ();
+        advance_live st t;
         (* same-time cascades across engines *)
         let rec settle () =
           let again =
@@ -1010,10 +816,10 @@ let drive st =
                 match Desim.Engine.next_time e with
                 | Some t' -> t' <= t
                 | None -> false)
-              (live_engines ())
+              (live_engines st)
           in
           if again then begin
-            fire ();
+            advance_live st t;
             settle ()
           end
         in
@@ -1065,37 +871,22 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
     | Some p -> p
     | None -> { Fault.Plan.none with Fault.Plan.seed = cfg.cl_seed }
   in
+  let host = Desim.Engine.create () in
   let st =
     {
       st_cfg = cfg;
-      st_host = Desim.Engine.create ();
-      st_kinds = kinds_used cfg.cl_tenants;
+      st_host = host;
+      st_kinds = Serve.kinds_used cfg.cl_tenants;
       st_tenants =
         Array.of_list
           (List.mapi
              (fun i t ->
                {
-                 ct_t = t;
+                 ct_l = D.ledger t;
                  ct_index = i;
                  ct_home = -1;
                  ct_resident = None;
                  ct_degraded = false;
-                 ct_queue = Queue.create ();
-                 ct_vft = 0.;
-                 ct_offered = 0;
-                 ct_admitted = 0;
-                 ct_shed_queue = 0;
-                 ct_shed_deadline = 0;
-                 ct_shed_degraded = 0;
-                 ct_completed = 0;
-                 ct_failed = 0;
-                 ct_bad = 0;
-                 ct_slo_viol = 0;
-                 ct_bytes = 0;
-                 ct_q_wait = S.series ();
-                 ct_service = S.series ();
-                 ct_collect = S.series ();
-                 ct_total = S.series ();
                })
              cfg.cl_tenants);
       st_devices =
@@ -1107,6 +898,9 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
       st_plan = plan;
       st_policy = fault_policy;
       st_tracer = tracer;
+      st_sink =
+        D.sink ~prefix:"cluster" ~count_offers:true ~sample_depth:false host
+          tracer;
       st_next_txn = 0;
       st_acked = Hashtbl.create 1024;
       st_duplicates = 0;
@@ -1146,33 +940,7 @@ let mk_report st ~duration_ps =
   let tenants =
     Array.to_list
       (Array.map
-         (fun ts ->
-           {
-             Serve.tr_name = ts.ct_t.Tenant.t_name;
-             tr_weight = ts.ct_t.Tenant.t_weight;
-             tr_offered = ts.ct_offered;
-             tr_admitted = ts.ct_admitted;
-             tr_shed_queue = ts.ct_shed_queue;
-             tr_shed_deadline = ts.ct_shed_deadline;
-             tr_shed_degraded = ts.ct_shed_degraded;
-             tr_completed = ts.ct_completed;
-             tr_failed = ts.ct_failed;
-             tr_bad_responses = ts.ct_bad;
-             tr_slo_violations = ts.ct_slo_viol;
-             tr_bytes_served = ts.ct_bytes;
-             tr_offered_rps =
-               float_of_int ts.ct_offered
-               /. (float_of_int duration_ps /. 1e12);
-             tr_achieved_rps =
-               (if wall_ps = 0 then 0.
-                else
-                  float_of_int ts.ct_completed
-                  /. (float_of_int wall_ps /. 1e12));
-             tr_queue = Serve.phase_of ts.ct_q_wait;
-             tr_service = Serve.phase_of ts.ct_service;
-             tr_collect = Serve.phase_of ts.ct_collect;
-             tr_total = Serve.phase_of ts.ct_total;
-           })
+         (fun ts -> D.tenant_report ts.ct_l ~duration_ps ~wall_ps)
          st.st_tenants)
   in
   let devices =
@@ -1192,13 +960,11 @@ let mk_report st ~duration_ps =
                (if wall_ps = 0 then 0.
                 else float_of_int busy /. float_of_int wall_ps);
              dr_transitions = List.rev dv.dv_transitions;
-             dr_injector = dv.dv_inj;
+             dr_injector = Some dv.dv_inj;
            })
          st.st_devices)
   in
-  let completed_total =
-    Array.fold_left (fun a ts -> a + ts.ct_completed) 0 st.st_tenants
-  in
+  let sum f = List.fold_left (fun a t -> a + f t) 0 tenants in
   {
     c_seed = cfg.cl_seed;
     c_duration_ps = duration_ps;
@@ -1208,7 +974,7 @@ let mk_report st ~duration_ps =
     c_placements =
       Array.to_list
         (Array.map
-           (fun ts -> (ts.ct_t.Tenant.t_name, ts.ct_home))
+           (fun ts -> (tenant_name ts, ts.ct_home))
            st.st_tenants);
     c_resharded = List.rev st.st_resharded;
     c_quarantines = st.st_quarantines;
@@ -1216,9 +982,9 @@ let mk_report st ~duration_ps =
     c_replays = st.st_replays;
     c_replayed_ok = st.st_replayed_ok;
     c_duplicates = st.st_duplicates;
-    c_lost_acked = Hashtbl.length st.st_acked - completed_total;
-    c_degraded_sheds =
-      Array.fold_left (fun a ts -> a + ts.ct_shed_degraded) 0 st.st_tenants;
+    c_lost_acked =
+      Hashtbl.length st.st_acked - sum (fun t -> t.Serve.tr_completed);
+    c_degraded_sheds = sum (fun t -> t.Serve.tr_shed_degraded);
     c_device_tracers =
       Array.to_list st.st_devices
       |> List.filter_map (fun dv ->
@@ -1227,28 +993,48 @@ let mk_report st ~duration_ps =
              | None -> None);
   }
 
+(* One traffic phase from the current cluster time: re-arm the heartbeat
+   monitor, spawn a fresh generation of clients (salt = phase index;
+   phase 0 = the historical streams) on the host engine, and drive the
+   fleet until every engine and the agenda are quiet. Client streams
+   derive from (seed, salt, tenant, client) only, so the offered load is
+   identical for any placement, device count, or chaos schedule. *)
+let serve_phase st ~duration_ps =
+  let t0 = now st in
+  st.st_horizon <- t0 + duration_ps;
+  st.st_served_ps <- st.st_served_ps + duration_ps;
+  schedule_action st ~at:(t0 + st.st_cfg.cl_heartbeat_ps) (fun () ->
+      heartbeat st);
+  Serve.spawn_clients ~engine:st.st_host ~seed:st.st_cfg.cl_seed
+    ~salt:st.st_phases ~horizon:(t0 + duration_ps) ~t0
+    ~tenants:(Array.to_list (Array.map tenant st.st_tenants))
+    ~offer:(fun ~tenant ~klass ~k ->
+      let ts = st.st_tenants.(tenant) in
+      let admitted = D.offer st.st_sink ts.ct_l ~txn:st.st_next_txn ~klass ~k in
+      if admitted then begin
+        st.st_next_txn <- st.st_next_txn + 1;
+        st.st_dirty <- true
+      end;
+      admitted)
+    ();
+  st.st_phases <- st.st_phases + 1;
+  drive st
+
 let run ?tracer ?plan ?fault_policy ?(chaos = []) cfg () =
   let st = mk_state ?tracer ?plan ?fault_policy cfg in
   (* Chaos schedule and the first heartbeat go on the agenda. *)
   List.iter
-    (function
-      | Kill { at; dev } ->
-          if dev < 0 || dev >= cfg.cl_devices then
-            invalid_arg "Cluster.run: chaos device out of range";
-          schedule_action st ~at (fun () ->
-              kill_device st st.st_devices.(dev))
-      | Restore { at; dev } ->
-          if dev < 0 || dev >= cfg.cl_devices then
-            invalid_arg "Cluster.run: chaos device out of range";
-          schedule_action st ~at (fun () ->
-              restore_device st st.st_devices.(dev)))
+    (fun c ->
+      let at, dev, act =
+        match c with
+        | Kill { at; dev } -> (at, dev, kill_device)
+        | Restore { at; dev } -> (at, dev, restore_device)
+      in
+      if dev < 0 || dev >= cfg.cl_devices then
+        invalid_arg "Cluster.run: chaos device out of range";
+      schedule_action st ~at (fun () -> act st st.st_devices.(dev)))
     chaos;
-  st.st_horizon <- cfg.cl_duration_ps;
-  st.st_served_ps <- cfg.cl_duration_ps;
-  st.st_phases <- 1;
-  schedule_action st ~at:cfg.cl_heartbeat_ps (fun () -> heartbeat st);
-  start_clients ~horizon:cfg.cl_duration_ps st;
-  drive st;
+  serve_phase st ~duration_ps:cfg.cl_duration_ps;
   mk_report st ~duration_ps:cfg.cl_duration_ps
 
 (* ------------------------------------------------------------------ *)
@@ -1262,14 +1048,13 @@ module Session = struct
     mk_state ?tracer ?plan ?fault_policy cfg
 
   let now = now
-  let health st ~dev =
-    if dev < 0 || dev >= Array.length st.st_devices then
-      invalid_arg "Cluster.Session.health: device out of range";
-    st.st_devices.(dev).dv_state
-
   let check_dev st name dev =
     if dev < 0 || dev >= Array.length st.st_devices then
       invalid_arg (Printf.sprintf "Cluster.Session.%s: device out of range" name)
+
+  let health st ~dev =
+    check_dev st "health" dev;
+    st.st_devices.(dev).dv_state
 
   (* Immediate chaos actions: the executor performs these between
      lockstep rounds (the cluster is settled), so they run directly
@@ -1283,37 +1068,20 @@ module Session = struct
     restore_device st st.st_devices.(dev)
 
   let promote_standby st =
-    let standby =
-      Array.to_list st.st_devices
-      |> List.find_opt (fun dv ->
-             dv.dv_state = Health.Standby && not dv.dv_frozen)
-    in
-    match standby with
+    match standby st with
     | Some dv ->
         promote st dv;
         true
     | None -> false
 
-  (* One traffic phase: re-arm the heartbeat monitor, spawn a fresh
-     generation of clients (salt = phase index; phase 0 = the
-     historical streams), and drive the fleet until every engine and
-     the agenda are quiet — admitted requests settled, drains and
-     replays resolved. Reports are cumulative over the session (the
-     dedup/ack ledgers are cluster-lifetime), so [c_lost_acked] stays
-     meaningful across phases. *)
+  (* Reports are cumulative over the session (the dedup/ack ledgers are
+     cluster-lifetime), so [c_lost_acked] stays meaningful across
+     phases. Between phases the agenda is empty (drive runs it dry), so
+     [serve_phase] always re-arms the heartbeat chain. *)
   let run_phase st ~duration_ps =
     if duration_ps < 1 then
       invalid_arg "Cluster.Session.run_phase: duration must be >= 1";
-    let t0 = now st in
-    st.st_horizon <- t0 + duration_ps;
-    st.st_served_ps <- st.st_served_ps + duration_ps;
-    (* between phases the agenda is empty (drive runs it dry), so the
-       heartbeat chain is always re-armed here *)
-    schedule_action st ~at:(t0 + st.st_cfg.cl_heartbeat_ps) (fun () ->
-        heartbeat st);
-    start_clients ~salt:st.st_phases ~t0 ~horizon:(t0 + duration_ps) st;
-    st.st_phases <- st.st_phases + 1;
-    drive st;
+    serve_phase st ~duration_ps;
     mk_report st ~duration_ps:(max 1 st.st_served_ps)
 
   (* Advance cluster time without traffic: host engine plus every live
@@ -1326,14 +1094,7 @@ module Session = struct
     let rec go () =
       (match st.st_agenda with
       | it :: tl when it.ag_time <= target ->
-          Desim.Engine.run ~until:it.ag_time
-            ~max_events:st.st_cfg.cl_max_events st.st_host;
-          Array.iter
-            (fun dv ->
-              if not dv.dv_frozen then
-                Desim.Engine.run ~until:it.ag_time
-                  ~max_events:st.st_cfg.cl_max_events (dev_engine dv))
-            st.st_devices;
+          advance_live st it.ag_time;
           st.st_agenda <- tl;
           it.ag_act ();
           (* dispatch any work the action freed; completions landing
@@ -1343,14 +1104,7 @@ module Session = struct
       | _ -> ())
     in
     go ();
-    Desim.Engine.run ~until:target ~max_events:st.st_cfg.cl_max_events
-      st.st_host;
-    Array.iter
-      (fun dv ->
-        if not dv.dv_frozen then
-          Desim.Engine.run ~until:target ~max_events:st.st_cfg.cl_max_events
-            (dev_engine dv))
-      st.st_devices
+    advance_live st target
 
   let snapshot st = mk_report st ~duration_ps:(max 1 st.st_served_ps)
   let phases st = st.st_phases
@@ -1364,30 +1118,11 @@ end
 let violations r =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  List.iter
-    (fun t ->
-      let open Serve in
-      if t.tr_offered <> t.tr_admitted + t.tr_shed_queue then
-        add "%s: offered %d <> admitted %d + shed-at-admission %d" t.tr_name
-          t.tr_offered t.tr_admitted t.tr_shed_queue;
-      if
-        t.tr_admitted
-        <> t.tr_completed + t.tr_shed_deadline + t.tr_shed_degraded
-           + t.tr_failed
-      then
-        add
-          "%s: admitted %d <> completed %d + shed-deadline %d + \
-           shed-degraded %d + failed %d"
-          t.tr_name t.tr_admitted t.tr_completed t.tr_shed_deadline
-          t.tr_shed_degraded t.tr_failed;
-      if t.tr_bad_responses > 0 then
-        add "%s: %d bad responses" t.tr_name t.tr_bad_responses)
-    r.c_tenants;
   if r.c_lost_acked <> 0 then
     add "cluster: %d acked commands missing from tenant ledgers"
       r.c_lost_acked;
   if r.c_duplicates < 0 then add "cluster: negative duplicate count";
-  List.rev !out
+  D.tenant_violations r.c_tenants @ List.rev !out
 
 let conserved r = violations r = []
 
@@ -1472,33 +1207,7 @@ let render r =
         t.tr_shed_deadline t.tr_shed_degraded t.tr_completed t.tr_failed
         t.tr_slo_violations t.tr_offered_rps t.tr_achieved_rps)
     r.c_tenants;
-  let sq, sd, sg =
-    List.fold_left
-      (fun (q, d, g) t ->
-        let open Serve in
-        (q + t.tr_shed_queue, d + t.tr_shed_deadline, g + t.tr_shed_degraded))
-      (0, 0, 0) r.c_tenants
-  in
-  pf "shed breakdown: queue-full=%d deadline=%d degradation=%d\n" sq sd sg;
-  pf "\nlatency (us)%-16s %8s %8s %8s %8s %8s\n" "" "mean" "p50" "p95" "p99"
-    "p99.9";
-  List.iter
-    (fun t ->
-      let open Serve in
-      let row label = function
-        | None ->
-            pf "  %-10s %-15s %8s %8s %8s %8s %8s\n" t.tr_name label "-" "-"
-              "-" "-" "-"
-        | Some p ->
-            pf "  %-10s %-15s %8.1f %8.1f %8.1f %8.1f %8.1f\n" t.tr_name
-              label p.ph_mean_us p.ph_p50_us p.ph_p95_us p.ph_p99_us
-              p.ph_p999_us
-      in
-      row "queue-wait" t.tr_queue;
-      row "service" t.tr_service;
-      row "collect" t.tr_collect;
-      row "total" t.tr_total)
-    r.c_tenants;
+  D.render_sheds_and_latency b r.c_tenants;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

@@ -182,19 +182,6 @@ module Cache = struct
   let create () =
     { tbl = Hashtbl.create 64; c_hits = 0; c_misses = 0; c_last = [] }
 
-  (* FNV-1a 64-bit over the canonical serialization below. Int64.mul
-     wraps on overflow, which is exactly the FNV modulus. *)
-  let fnv1a64 s =
-    let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun ch ->
-        h :=
-          Int64.mul
-            (Int64.logxor !h (Int64.of_int (Char.code ch)))
-            0x100000001b3L)
-      s;
-    !h
-
   (* Kernel circuits are large shared DAGs; digest their emitted Verilog
      once per physical circuit value (the bundled kernels are module-level
      constants, so physical identity is the common case) and remember a
@@ -206,7 +193,9 @@ module Cache = struct
     match List.find_opt (fun (c', _) -> c' == c) !circuit_digests with
     | Some (_, d) -> d
     | None ->
-        let d = Printf.sprintf "%016Lx" (fnv1a64 (Hw.Verilog.of_circuit c)) in
+        let d =
+          Printf.sprintf "%016Lx" (Strutil.fnv1a64 (Hw.Verilog.of_circuit c))
+        in
         let kept =
           List.filteri
             (fun i _ -> i < circuit_digest_window - 1)
@@ -272,7 +261,7 @@ module Cache = struct
     Buffer.contents b
 
   let system_key (sys : Config.system) =
-    Printf.sprintf "%016Lx" (fnv1a64 (serialize_system sys))
+    Printf.sprintf "%016Lx" (Strutil.fnv1a64 (serialize_system sys))
 
   let lookup t (sys : Config.system) (platform : Platform.Device.t) =
     let key = system_key sys ^ "@" ^ platform.Platform.Device.name in

@@ -45,25 +45,8 @@ let render = function
       in
       String.concat "\n" (lines @ [ summary ])
 
-(* hand-rolled JSON: the toolchain has no JSON library baked in *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let field k v = Printf.sprintf "\"%s\":\"%s\"" k (json_escape v) in
+  let field k v = Printf.sprintf "\"%s\":\"%s\"" k (Strutil.json_escape v) in
   let opt k = function Some v -> [ field k v ] | None -> [] in
   "{"
   ^ String.concat ","

@@ -550,42 +550,31 @@ let run ?tracer sc =
 (* Transcript rendering                                               *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One entry per line: diffable, and byte-identical for a fixed seed
    (floats printed with a fixed %.6f format). *)
 let transcript_json res =
   let b = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\"scenario\":\"%s\",\"seed\":%d,\"ok\":%b,\n" (json_escape res.res_scenario)
+  pf "{\"scenario\":\"%s\",\"seed\":%d,\"ok\":%b,\n"
+    (Strutil.json_escape res.res_scenario)
     res.res_seed res.res_ok;
   pf "\"failures\":[%s],\n"
     (String.concat ","
-       (List.map (fun f -> "\"" ^ json_escape f ^ "\"") res.res_failures));
+       (List.map
+          (fun f -> "\"" ^ Strutil.json_escape f ^ "\"")
+          res.res_failures));
   pf "\"entries\":[\n";
   let n = List.length res.res_entries in
   List.iteri
     (fun i en ->
       pf
         "{\"id\":%d,\"node\":\"%s\",\"enter_ps\":%d,\"exit_ps\":%d,\"verdict\":\"%s\",\"bindings\":{%s}}%s\n"
-        en.en_id (json_escape en.en_node) en.en_enter_ps en.en_exit_ps
-        (json_escape en.en_verdict)
+        en.en_id (Strutil.json_escape en.en_node) en.en_enter_ps en.en_exit_ps
+        (Strutil.json_escape en.en_verdict)
         (String.concat ","
            (List.map
               (fun (name, v) ->
-                Printf.sprintf "\"%s\":%.6f" (json_escape name) v)
+                Printf.sprintf "\"%s\":%.6f" (Strutil.json_escape name) v)
               en.en_bindings))
         (if i = n - 1 then "" else ","))
     res.res_entries;

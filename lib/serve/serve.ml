@@ -231,45 +231,400 @@ let config ?(seed = 42) ?(duration_ps = 2_000_000_000) ?(policy = Wfq)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Campaign state                                                     *)
+(* Per-tenant results                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type req = {
-  rq_class : Mix.klass;
-  rq_arrival : int;
-  rq_deadline : int;
-  rq_k : (unit -> unit) option;  (* closed-loop continuation *)
+type phase = {
+  ph_n : int;
+  ph_mean_us : float;
+  ph_p50_us : float;
+  ph_p95_us : float;
+  ph_p99_us : float;
+  ph_p999_us : float;
 }
 
-type tstate = {
-  ts_t : Tenant.t;
-  ts_queue : req Queue.t;
-  mutable ts_vft : float;  (* WFQ virtual finish time of the last dispatch *)
-  mutable ts_offered : int;
-  mutable ts_admitted : int;
-  mutable ts_shed_queue : int;
-  mutable ts_shed_deadline : int;
-  ts_shed_degraded : int;
-      (* always 0 in a single-SoC campaign; the cluster layer accounts
-         degradation sheds in its own aggregated reports *)
-  mutable ts_completed : int;
-  mutable ts_failed : int;
-  mutable ts_bad : int;
-  mutable ts_slo_viol : int;
-  mutable ts_bytes : int;
-  ts_q_wait : S.series;  (* all four in microseconds *)
-  ts_service : S.series;
-  ts_collect : S.series;
-  ts_total : S.series;
+type tenant_report = {
+  tr_name : string;
+  tr_weight : float;
+  tr_offered : int;
+  tr_admitted : int;
+  tr_shed_queue : int;
+  tr_shed_deadline : int;
+  tr_shed_degraded : int;
+  tr_completed : int;
+  tr_failed : int;
+  tr_bad_responses : int;
+  tr_slo_violations : int;
+  tr_bytes_served : int;
+  tr_offered_rps : float;
+  tr_achieved_rps : float;
+  tr_queue : phase option;
+  tr_service : phase option;
+  tr_collect : phase option;
+  tr_total : phase option;
 }
+
+let phase_of series =
+  match S.summarize_opt series with
+  | None -> None
+  | Some s ->
+      let q q =
+        match S.quantile_opt series ~q with Some v -> v | None -> 0.
+      in
+      Some
+        {
+          ph_n = s.S.n;
+          ph_mean_us = s.S.mean;
+          ph_p50_us = q 0.5;
+          ph_p95_us = q 0.95;
+          ph_p99_us = q 0.99;
+          ph_p999_us = q 0.999;
+        }
+
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch: the serving core shared with the cluster layer           *)
+(* ------------------------------------------------------------------ *)
+
+module Dispatch = struct
+  type req = {
+    rq_txn : int;
+    rq_class : Mix.klass;
+    rq_arrival : int;
+    rq_deadline : int;
+    mutable rq_attempts : int;
+    rq_k : (unit -> unit) option;
+  }
+
+  type ledger = {
+    l_tenant : Tenant.t;
+    l_queue : req Queue.t;
+    mutable l_vft : float;
+    mutable l_offered : int;
+    mutable l_admitted : int;
+    mutable l_shed_queue : int;
+    mutable l_shed_deadline : int;
+    mutable l_shed_degraded : int;
+    mutable l_completed : int;
+    mutable l_failed : int;
+    mutable l_bad : int;
+    mutable l_slo_viol : int;
+    mutable l_bytes : int;
+    l_q_wait : S.series;
+    l_service : S.series;
+    l_collect : S.series;
+    l_total : S.series;
+  }
+
+  let ledger t =
+    {
+      l_tenant = t;
+      l_queue = Queue.create ();
+      l_vft = 0.;
+      l_offered = 0;
+      l_admitted = 0;
+      l_shed_queue = 0;
+      l_shed_deadline = 0;
+      l_shed_degraded = 0;
+      l_completed = 0;
+      l_failed = 0;
+      l_bad = 0;
+      l_slo_viol = 0;
+      l_bytes = 0;
+      l_q_wait = S.series ();
+      l_service = S.series ();
+      l_collect = S.series ();
+      l_total = S.series ();
+    }
+
+  let tenant l = l.l_tenant
+  let head l = Queue.peek_opt l.l_queue
+  let backlog l = Queue.length l.l_queue
+
+  let system_index kinds (kind : Mix.kind) =
+    let rec go i = function
+      | [] -> invalid_arg "Serve: request kind has no deployed system"
+      | k :: tl -> if k = kind then i else go (i + 1) tl
+    in
+    go 0 kinds
+
+  (* Trace counters are named "<prefix>.<event>", built once per sink. *)
+  type sink = {
+    sk_clock : Desim.Engine.t;
+    sk_tracer : Trace.t option;
+    sk_prefix : string;
+    sk_offered : string option;
+    sk_admitted : string;
+    sk_shed_queue : string;
+    sk_shed_deadline : string;
+    sk_shed_degraded : string;
+    sk_completed : string;
+    sk_failed : string;
+    sk_depth : bool;
+  }
+
+  let sink ~prefix ~count_offers ~sample_depth clock tracer =
+    let n event = prefix ^ "." ^ event in
+    {
+      sk_clock = clock;
+      sk_tracer = tracer;
+      sk_prefix = prefix;
+      sk_offered = (if count_offers then Some (n "offered") else None);
+      sk_admitted = n "admitted";
+      sk_shed_queue = n "shed_queue";
+      sk_shed_deadline = n "shed_deadline";
+      sk_shed_degraded = n "shed_degraded";
+      sk_completed = n "completed";
+      sk_failed = n "failed";
+      sk_depth = sample_depth;
+    }
+
+  let bump sk name =
+    match sk.sk_tracer with None -> () | Some tr -> Trace.add tr name 1
+
+  let sample_depth sk l =
+    match sk.sk_tracer with
+    | Some tr when sk.sk_depth ->
+        Trace.sample tr
+          ~now:(Desim.Engine.now sk.sk_clock)
+          (Printf.sprintf "%s.q.%s.depth" sk.sk_prefix l.l_tenant.Tenant.t_name)
+          (Queue.length l.l_queue)
+    | _ -> ()
+
+  let resume r = match r.rq_k with Some k -> k () | None -> ()
+
+  let offer sk l ~txn ~klass ~k =
+    l.l_offered <- l.l_offered + 1;
+    (match sk.sk_offered with Some n -> bump sk n | None -> ());
+    if Queue.length l.l_queue >= l.l_tenant.Tenant.t_queue_cap then begin
+      l.l_shed_queue <- l.l_shed_queue + 1;
+      bump sk sk.sk_shed_queue;
+      false
+    end
+    else begin
+      let now = Desim.Engine.now sk.sk_clock in
+      Queue.push
+        {
+          rq_txn = txn;
+          rq_class = klass;
+          rq_arrival = now;
+          rq_deadline = now + l.l_tenant.Tenant.t_deadline_ps;
+          rq_attempts = 0;
+          rq_k = k;
+        }
+        l.l_queue;
+      l.l_admitted <- l.l_admitted + 1;
+      bump sk sk.sk_admitted;
+      sample_depth sk l;
+      true
+    end
+
+  (* Deadline shedding happens when a request reaches the head of its
+     tenant queue: requests behind it are younger (per-tenant FIFO), so an
+     un-expired head proves nothing behind it expired. A degraded tenant
+     sheds its whole queue, accounted as degradation. *)
+  let rec shed sk l ~degraded =
+    match Queue.peek_opt l.l_queue with
+    | Some r when degraded || Desim.Engine.now sk.sk_clock > r.rq_deadline ->
+        ignore (Queue.pop l.l_queue);
+        if degraded then begin
+          l.l_shed_degraded <- l.l_shed_degraded + 1;
+          bump sk sk.sk_shed_degraded
+        end
+        else begin
+          l.l_shed_deadline <- l.l_shed_deadline + 1;
+          bump sk sk.sk_shed_deadline
+        end;
+        sample_depth sk l;
+        resume r;
+        shed sk l ~degraded
+    | _ -> ()
+
+  let pop sk l =
+    ignore (Queue.pop l.l_queue);
+    sample_depth sk l
+
+  type vclock = { mutable vt : float }
+
+  (* Start-time fair queueing: the key of a tenant's head request is its
+     virtual START tag — the finish tag of the tenant's previous dispatch,
+     or the virtual clock if the tenant went idle. Dispatching advances
+     the tenant's finish tag by bytes/weight (heavier tenants accumulate
+     virtual time more slowly, so they win more often) and ratchets the
+     clock to the dispatched start tag. Comparing start tags rather than
+     finish tags matters: a finish-tag rule under this virtual clock
+     permanently starves any flow whose normalized cost (bytes/weight)
+     exceeds a backlogged competitor's. *)
+  let sfq_key l vc = Float.max l.l_vft vc.vt
+
+  let sfq_charge l r vc =
+    let start = sfq_key l vc in
+    l.l_vft <-
+      start
+      +. (float_of_int r.rq_class.Mix.k_bytes /. l.l_tenant.Tenant.t_weight);
+    vc.vt <- start
+
+  (* Least-outstanding-work core within a system, respecting the per-core
+     occupancy cap and avoiding quarantined cores when a healthy one has
+     room. If only quarantined cores have room we still dispatch — the
+     handle fails fast and the request settles as failed instead of
+     wedging its queue. *)
+  let choose_core h ~system_id ~cap out =
+    let best = ref (-1) and best_q = ref (-1) in
+    Array.iteri
+      (fun c o ->
+        if o < cap then
+          if H.is_quarantined h ~system_id ~core_id:c then (
+            if !best_q < 0 || o < out.(!best_q) then best_q := c)
+          else if !best < 0 || o < out.(!best) then best := c)
+      out;
+    if !best >= 0 then Some !best else if !best_q >= 0 then Some !best_q
+    else None
+
+  let command (kind : Mix.kind) ~bytes ~src ~dst =
+    match kind with
+    | Mix.Memcpy ->
+        ( [
+            ("src", Int64.of_int src);
+            ("dst", Int64.of_int dst);
+            ("bytes", Int64.of_int bytes);
+          ],
+          Kernels.Memcpy.command,
+          Int64.of_int bytes )
+    | Mix.Vecadd ->
+        let n_eles = bytes / 4 in
+        ( [
+            ("addend", 1L);
+            ("vec_addr", Int64.of_int src);
+            ("out_addr", Int64.of_int dst);
+            ("n_eles", Int64.of_int n_eles);
+          ],
+          Kernels.Vecadd.command,
+          Int64.of_int n_eles )
+    | Mix.Sort ->
+        (* the sort kernel's in2 channel is unused (in2_bytes = 0); the
+           freshly allocated input buffer is zeroed device memory, which
+           sorts deterministically *)
+        ( [
+            ("in1", Int64.of_int src);
+            ("in2", Int64.of_int src);
+            ("out", Int64.of_int dst);
+          ],
+          Kernels.Machsuite_extra.command,
+          1L )
+
+  let complete sk l r ~ok ~submit_ps ~seen_ps ~done_ps =
+    l.l_completed <- l.l_completed + 1;
+    if not ok then l.l_bad <- l.l_bad + 1;
+    l.l_bytes <- l.l_bytes + r.rq_class.Mix.k_bytes;
+    let us ps = float_of_int ps /. 1e6 in
+    let total = done_ps - r.rq_arrival in
+    S.observe l.l_q_wait (us (submit_ps - r.rq_arrival));
+    S.observe l.l_service (us (seen_ps - submit_ps));
+    S.observe l.l_collect (us (done_ps - seen_ps));
+    S.observe l.l_total (us total);
+    let violated = total > l.l_tenant.Tenant.t_slo_ps in
+    if violated then l.l_slo_viol <- l.l_slo_viol + 1;
+    bump sk sk.sk_completed;
+    violated
+
+  let fail sk l =
+    l.l_failed <- l.l_failed + 1;
+    bump sk sk.sk_failed
+
+  let tenant_report l ~duration_ps ~wall_ps =
+    {
+      tr_name = l.l_tenant.Tenant.t_name;
+      tr_weight = l.l_tenant.Tenant.t_weight;
+      tr_offered = l.l_offered;
+      tr_admitted = l.l_admitted;
+      tr_shed_queue = l.l_shed_queue;
+      tr_shed_deadline = l.l_shed_deadline;
+      tr_shed_degraded = l.l_shed_degraded;
+      tr_completed = l.l_completed;
+      tr_failed = l.l_failed;
+      tr_bad_responses = l.l_bad;
+      tr_slo_violations = l.l_slo_viol;
+      tr_bytes_served = l.l_bytes;
+      tr_offered_rps =
+        float_of_int l.l_offered /. (float_of_int duration_ps /. 1e12);
+      tr_achieved_rps =
+        (if wall_ps = 0 then 0.
+         else float_of_int l.l_completed /. (float_of_int wall_ps /. 1e12));
+      tr_queue = phase_of l.l_q_wait;
+      tr_service = phase_of l.l_service;
+      tr_collect = phase_of l.l_collect;
+      tr_total = phase_of l.l_total;
+    }
+
+  let tenant_violations trs =
+    let out = ref [] in
+    let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+    List.iter
+      (fun t ->
+        if t.tr_offered <> t.tr_admitted + t.tr_shed_queue then
+          add "%s: offered %d <> admitted %d + shed-at-admission %d" t.tr_name
+            t.tr_offered t.tr_admitted t.tr_shed_queue;
+        if
+          t.tr_admitted
+          <> t.tr_completed + t.tr_shed_deadline + t.tr_shed_degraded
+             + t.tr_failed
+        then
+          add
+            "%s: admitted %d <> completed %d + shed-at-dispatch %d + \
+             shed-degraded %d + failed %d"
+            t.tr_name t.tr_admitted t.tr_completed t.tr_shed_deadline
+            t.tr_shed_degraded t.tr_failed;
+        if t.tr_bad_responses > 0 then
+          add "%s: %d response payloads mismatched their requests" t.tr_name
+            t.tr_bad_responses)
+      trs;
+    List.rev !out
+
+  let render_sheds_and_latency b trs =
+    let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    let sq, sd, sg =
+      List.fold_left
+        (fun (q, d, g) t ->
+          (q + t.tr_shed_queue, d + t.tr_shed_deadline, g + t.tr_shed_degraded))
+        (0, 0, 0) trs
+    in
+    pf "shed breakdown: %s=%d %s=%d %s=%d\n"
+      (shed_reason_name Shed_queue_full)
+      sq
+      (shed_reason_name Shed_deadline)
+      sd
+      (shed_reason_name Shed_degradation)
+      sg;
+    pf "\nlatency (us)%-16s %8s %8s %8s %8s %8s\n" "" "mean" "p50" "p95" "p99"
+      "p99.9";
+    List.iter
+      (fun t ->
+        let row label = function
+          | None ->
+              pf "  %-10s %-15s %8s %8s %8s %8s %8s\n" t.tr_name label "-" "-"
+                "-" "-" "-"
+          | Some p ->
+              pf "  %-10s %-15s %8.1f %8.1f %8.1f %8.1f %8.1f\n" t.tr_name
+                label p.ph_mean_us p.ph_p50_us p.ph_p95_us p.ph_p99_us
+                p.ph_p999_us
+        in
+        row "queue-wait" t.tr_queue;
+        row "service" t.tr_service;
+        row "collect" t.tr_collect;
+        row "total" t.tr_total)
+      trs
+end
+
+(* ------------------------------------------------------------------ *)
+(* Campaign state                                                     *)
+(* ------------------------------------------------------------------ *)
 
 (* One deployed system (a kernel kind at [c_n_cores] cores): per-core
    outstanding counts drive the least-outstanding-work shard choice, the
    dispatched counts are the evidence kept for the report. *)
 type sysstate = {
-  sy_kind : Mix.kind;
   sy_name : string;
-  sy_id : int;  (* index in the elaborated design, for quarantine checks *)
   sy_out : int array;
   sy_disp : int array;
 }
@@ -279,85 +634,19 @@ type sstate = {
   st_engine : Desim.Engine.t;
   st_handle : H.t;
   st_tracer : Trace.t option;
-  st_tenants : tstate array;
+  st_sink : Dispatch.sink;
+  st_tenants : Dispatch.ledger array;
+  st_kinds : Mix.kind list;  (* deployment order: the system index *)
   st_systems : sysstate array;
-  mutable st_global_v : float;  (* WFQ system virtual time *)
+  st_vclock : Dispatch.vclock;  (* WFQ system virtual time *)
   mutable st_armed : bool;
   mutable st_batches : int;
   mutable st_batched : int;
 }
 
-let sys_index st (kind : Mix.kind) =
-  let rec go i =
-    if i >= Array.length st.st_systems then
-      invalid_arg "Serve: request kind has no deployed system"
-    else if st.st_systems.(i).sy_kind = kind then i
-    else go (i + 1)
-  in
-  go 0
-
-let sample_depth st ts =
-  match st.st_tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.sample tr
-        ~now:(Desim.Engine.now st.st_engine)
-        (Printf.sprintf "serve.q.%s.depth" ts.ts_t.Tenant.t_name)
-        (Queue.length ts.ts_queue)
-
-let bump st name =
-  match st.st_tracer with None -> () | Some tr -> Trace.add tr name 1
-
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Deadline shedding happens when a request reaches the head of its
-   tenant queue: requests behind it are younger (per-tenant FIFO), so an
-   un-expired head proves nothing behind it expired. *)
-let shed_expired st ts =
-  let now = Desim.Engine.now st.st_engine in
-  let rec go () =
-    match Queue.peek_opt ts.ts_queue with
-    | Some r when now > r.rq_deadline ->
-        ignore (Queue.pop ts.ts_queue);
-        ts.ts_shed_deadline <- ts.ts_shed_deadline + 1;
-        bump st "serve.shed_deadline";
-        sample_depth st ts;
-        (match r.rq_k with Some k -> k () | None -> ());
-        go ()
-    | _ -> ()
-  in
-  go ()
-
-(* Least-outstanding-work core within a system, respecting the per-core
-   occupancy cap and avoiding quarantined cores when a healthy one has
-   room. If only quarantined cores have room we still dispatch — the
-   handle fails fast and the request settles as failed instead of
-   wedging its queue. *)
-let choose_core st sy =
-  let cap = st.st_cfg.c_core_cap in
-  let best = ref (-1) and best_q = ref (-1) in
-  Array.iteri
-    (fun c out ->
-      if out < cap then
-        if H.is_quarantined st.st_handle ~system_id:sy.sy_id ~core_id:c then (
-          if !best_q < 0 || out < sy.sy_out.(!best_q) then best_q := c)
-        else if !best < 0 || out < sy.sy_out.(!best) then best := c)
-    sy.sy_out;
-  if !best >= 0 then Some !best else if !best_q >= 0 then Some !best_q
-  else None
-
-(* Start-time fair queueing: the key of a tenant's head request is its
-   virtual START tag — the finish tag of the tenant's previous dispatch,
-   or the system virtual time if the tenant went idle. Dispatching
-   advances the tenant's finish tag by bytes/weight (heavier tenants
-   accumulate virtual time more slowly, so they win more often) and
-   ratchets the system time to the dispatched start tag. Comparing start
-   tags rather than finish tags matters: a finish-tag rule under this
-   virtual clock permanently starves any flow whose normalized cost
-   (bytes/weight) exceeds a backlogged competitor's. *)
-let wfq_key st ts = Float.max ts.ts_vft st.st_global_v
 
 (* Pick (and reserve a core for) the next dispatchable request.
    [same] constrains the choice to one deployed system — the batching
@@ -365,20 +654,24 @@ let wfq_key st ts = Float.max ts.ts_vft st.st_global_v
    system only. *)
 let pick_next st ~same =
   let cand = ref None in
-  Array.iteri
-    (fun ti ts ->
-      shed_expired st ts;
-      match Queue.peek_opt ts.ts_queue with
+  Array.iter
+    (fun (l : Dispatch.ledger) ->
+      Dispatch.shed st.st_sink l ~degraded:false;
+      match Dispatch.head l with
       | None -> ()
       | Some r -> (
-          let si = sys_index st r.rq_class.Mix.k_kind in
+          let si = Dispatch.system_index st.st_kinds r.rq_class.Mix.k_kind in
           if (match same with Some s -> s = si | None -> true) then
-            match choose_core st st.st_systems.(si) with
+            let sy = st.st_systems.(si) in
+            match
+              Dispatch.choose_core st.st_handle ~system_id:si
+                ~cap:st.st_cfg.c_core_cap sy.sy_out
+            with
             | None -> ()  (* system saturated: head-of-line blocked *)
             | Some core ->
                 let key =
                   match st.st_cfg.c_policy with
-                  | Wfq -> wfq_key st ts
+                  | Wfq -> Dispatch.sfq_key l st.st_vclock
                   | Fifo -> float_of_int r.rq_arrival
                 in
                 let better =
@@ -386,26 +679,19 @@ let pick_next st ~same =
                   | None -> true
                   | Some (k, _, _, _, _) -> key < k
                 in
-                if better then cand := Some (key, ti, r, si, core)))
+                if better then cand := Some (key, l, r, si, core)))
     st.st_tenants;
   match !cand with
   | None -> None
-  | Some (_, ti, r, si, core) ->
-      let ts = st.st_tenants.(ti) in
-      ignore (Queue.pop ts.ts_queue);
-      sample_depth st ts;
+  | Some (_, l, r, si, core) ->
+      Dispatch.pop st.st_sink l;
       (match st.st_cfg.c_policy with
-      | Wfq ->
-          let start = Float.max ts.ts_vft st.st_global_v in
-          ts.ts_vft <-
-            start
-            +. (float_of_int r.rq_class.Mix.k_bytes /. ts.ts_t.Tenant.t_weight);
-          st.st_global_v <- start
+      | Wfq -> Dispatch.sfq_charge l r st.st_vclock
       | Fifo -> ());
       (* reserve the slot so the rest of the batch sees the occupancy *)
       st.st_systems.(si).sy_out.(core) <-
         st.st_systems.(si).sy_out.(core) + 1;
-      Some (ts, r, si, core)
+      Some (l, r, si, core)
 
 let rec arm_dispatch st =
   if not st.st_armed then begin
@@ -436,7 +722,7 @@ and dispatch_all st =
       List.iter (submit st ~batch) picks;
       dispatch_all st
 
-and submit st ~batch (ts, r, si, core) =
+and submit st ~batch (l, (r : Dispatch.req), si, core) =
   let sy = st.st_systems.(si) in
   let h = st.st_handle in
   let now = Desim.Engine.now st.st_engine in
@@ -444,36 +730,8 @@ and submit st ~batch (ts, r, si, core) =
   let bytes = r.rq_class.Mix.k_bytes in
   let a = H.malloc h bytes and b = H.malloc h bytes in
   let args, cmd, expect =
-    match r.rq_class.Mix.k_kind with
-    | Mix.Memcpy ->
-        ( [
-            ("src", Int64.of_int a.H.rp_addr);
-            ("dst", Int64.of_int b.H.rp_addr);
-            ("bytes", Int64.of_int bytes);
-          ],
-          Kernels.Memcpy.command,
-          Int64.of_int bytes )
-    | Mix.Vecadd ->
-        let n_eles = bytes / 4 in
-        ( [
-            ("addend", 1L);
-            ("vec_addr", Int64.of_int a.H.rp_addr);
-            ("out_addr", Int64.of_int b.H.rp_addr);
-            ("n_eles", Int64.of_int n_eles);
-          ],
-          Kernels.Vecadd.command,
-          Int64.of_int n_eles )
-    | Mix.Sort ->
-        (* the sort kernel's in2 channel is unused (in2_bytes = 0); the
-           freshly allocated input buffer is zeroed device memory, which
-           sorts deterministically *)
-        ( [
-            ("in1", Int64.of_int a.H.rp_addr);
-            ("in2", Int64.of_int a.H.rp_addr);
-            ("out", Int64.of_int b.H.rp_addr);
-          ],
-          Kernels.Machsuite_extra.command,
-          1L )
+    Dispatch.command r.rq_class.Mix.k_kind ~bytes ~src:a.H.rp_addr
+      ~dst:b.H.rp_addr
   in
   let rh = H.send ~batch ~queued_at:r.rq_arrival h ~system:sy.sy_name ~core ~cmd ~args in
   H.on_settled rh (fun res ->
@@ -483,60 +741,22 @@ and submit st ~batch (ts, r, si, core) =
       sy.sy_out.(core) <- sy.sy_out.(core) - 1;
       (match res with
       | Ok v ->
-          ts.ts_completed <- ts.ts_completed + 1;
-          if v <> expect then ts.ts_bad <- ts.ts_bad + 1;
-          ts.ts_bytes <- ts.ts_bytes + bytes;
-          let us ps = float_of_int ps /. 1e6 in
-          let total = tnow - r.rq_arrival in
           let seen =
             match H.response_seen_at rh with Some s -> s | None -> tnow
           in
-          S.observe ts.ts_q_wait (us (now - r.rq_arrival));
-          S.observe ts.ts_service (us (seen - now));
-          S.observe ts.ts_collect (us (tnow - seen));
-          S.observe ts.ts_total (us total);
-          if total > ts.ts_t.Tenant.t_slo_ps then
-            ts.ts_slo_viol <- ts.ts_slo_viol + 1;
-          bump st "serve.completed";
+          ignore
+            (Dispatch.complete st.st_sink l r ~ok:(v = expect) ~submit_ps:now
+               ~seen_ps:seen ~done_ps:tnow);
           (match st.st_tracer with
           | Some tr ->
+              let name = (Dispatch.tenant l).Tenant.t_name in
               Trace.observe tr
-                (Printf.sprintf "serve.%s.total_us" ts.ts_t.Tenant.t_name)
-                (us total)
+                (Printf.sprintf "serve.%s.total_us" name)
+                (float_of_int (tnow - r.rq_arrival) /. 1e6)
           | None -> ())
-      | Error _ ->
-          ts.ts_failed <- ts.ts_failed + 1;
-          bump st "serve.failed");
-      (match r.rq_k with Some k -> k () | None -> ());
+      | Error _ -> Dispatch.fail st.st_sink l);
+      Dispatch.resume r;
       arm_dispatch st)
-
-(* ------------------------------------------------------------------ *)
-(* Admission control                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let offer st ts ~klass ~k =
-  ts.ts_offered <- ts.ts_offered + 1;
-  if Queue.length ts.ts_queue >= ts.ts_t.Tenant.t_queue_cap then begin
-    ts.ts_shed_queue <- ts.ts_shed_queue + 1;
-    bump st "serve.shed_queue";
-    false
-  end
-  else begin
-    let now = Desim.Engine.now st.st_engine in
-    Queue.push
-      {
-        rq_class = klass;
-        rq_arrival = now;
-        rq_deadline = now + ts.ts_t.Tenant.t_deadline_ps;
-        rq_k = k;
-      }
-      ts.ts_queue;
-    ts.ts_admitted <- ts.ts_admitted + 1;
-    bump st "serve.admitted";
-    sample_depth st ts;
-    arm_dispatch st;
-    true
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Clients                                                            *)
@@ -589,50 +809,37 @@ let spawn_clients ~engine ~seed ?(salt = 0) ~horizon ?(t0 = 0) ~tenants
       for ci = 0 to t.Tenant.t_clients - 1 do
         let rng = client_rng ~salt ~seed ~tenant:ti ~client:ci () in
         match t.Tenant.t_load with
-        | Tenant.Open_loop { rate_rps; rate_curve } -> (
-            let constant rate =
-              if rate <= 0. then
-                invalid_arg "Serve: open-loop rate must be > 0";
-              let mean_ps = 1e12 /. rate in
-              let rec arrive () =
-                if Desim.Engine.now engine < horizon then begin
+        | Tenant.Open_loop { rate_rps; rate_curve } ->
+            (* [thin = Some c]: candidates at the curve's max rate, each
+               kept with probability rate(now - t0) / max *)
+            let rate, thin =
+              match rate_curve with
+              | None -> (rate_rps, None)
+              | Some c -> (
+                  match Curve.constant_rate c with
+                  | Some r -> (r, None)
+                  | None -> (Curve.max_rate c, Some c))
+            in
+            if rate <= 0. then invalid_arg "Serve: open-loop rate must be > 0";
+            let mean_ps = 1e12 /. rate in
+            let rec arrive () =
+              let now = Desim.Engine.now engine in
+              if now < horizon then begin
+                if
+                  match thin with
+                  | None -> true
+                  | Some c ->
+                      Fault.Rng.float rng *. rate
+                      < Curve.rate_at c ~at_ps:(now - t0)
+                then
                   ignore
                     (offer ~tenant:ti ~klass:(draw_class rng t.Tenant.t_mix)
                        ~k:None);
-                  Desim.Engine.schedule engine ~delay:(exp_draw rng ~mean_ps)
-                    arrive
-                end
-              in
-              Desim.Engine.schedule engine ~delay:(exp_draw rng ~mean_ps)
-                arrive
+                Desim.Engine.schedule engine ~delay:(exp_draw rng ~mean_ps)
+                  arrive
+              end
             in
-            match rate_curve with
-            | None -> constant rate_rps
-            | Some c -> (
-                match Curve.constant_rate c with
-                | Some r -> constant r
-                | None ->
-                    let lmax = Curve.max_rate c in
-                    let mean_ps = 1e12 /. lmax in
-                    let rec arrive () =
-                      let now = Desim.Engine.now engine in
-                      if now < horizon then begin
-                        if
-                          Fault.Rng.float rng *. lmax
-                          < Curve.rate_at c ~at_ps:(now - t0)
-                        then
-                          ignore
-                            (offer ~tenant:ti
-                               ~klass:(draw_class rng t.Tenant.t_mix)
-                               ~k:None);
-                        Desim.Engine.schedule engine
-                          ~delay:(exp_draw rng ~mean_ps)
-                          arrive
-                      end
-                    in
-                    Desim.Engine.schedule engine
-                      ~delay:(exp_draw rng ~mean_ps)
-                      arrive))
+            Desim.Engine.schedule engine ~delay:(exp_draw rng ~mean_ps) arrive
         | Tenant.Closed_loop { think_ps } ->
             let rec issue () =
               if Desim.Engine.now engine < horizon then begin
@@ -659,47 +866,9 @@ let spawn_clients ~engine ~seed ?(salt = 0) ~horizon ?(t0 = 0) ~tenants
       done)
     tenants
 
-let start_clients ?(salt = 0) ?(t0 = 0) ~horizon st =
-  spawn_clients ~engine:st.st_engine ~seed:st.st_cfg.c_seed ~salt ~horizon
-    ~t0
-    ~tenants:(Array.to_list (Array.map (fun ts -> ts.ts_t) st.st_tenants))
-    ~offer:(fun ~tenant ~klass ~k ->
-      offer st st.st_tenants.(tenant) ~klass ~k)
-    ()
-
 (* ------------------------------------------------------------------ *)
 (* Results                                                            *)
 (* ------------------------------------------------------------------ *)
-
-type phase = {
-  ph_n : int;
-  ph_mean_us : float;
-  ph_p50_us : float;
-  ph_p95_us : float;
-  ph_p99_us : float;
-  ph_p999_us : float;
-}
-
-type tenant_report = {
-  tr_name : string;
-  tr_weight : float;
-  tr_offered : int;
-  tr_admitted : int;
-  tr_shed_queue : int;
-  tr_shed_deadline : int;
-  tr_shed_degraded : int;
-  tr_completed : int;
-  tr_failed : int;
-  tr_bad_responses : int;
-  tr_slo_violations : int;
-  tr_bytes_served : int;
-  tr_offered_rps : float;
-  tr_achieved_rps : float;
-  tr_queue : phase option;
-  tr_service : phase option;
-  tr_collect : phase option;
-  tr_total : phase option;
-}
 
 type report = {
   r_seed : int;
@@ -717,23 +886,6 @@ type report = {
   r_free_delta : int;
   r_injector : Fault.Injector.t option;
 }
-
-let phase_of series =
-  match S.summarize_opt series with
-  | None -> None
-  | Some s ->
-      let q q =
-        match S.quantile_opt series ~q with Some v -> v | None -> 0.
-      in
-      Some
-        {
-          ph_n = s.S.n;
-          ph_mean_us = s.S.mean;
-          ph_p50_us = q 0.5;
-          ph_p95_us = q 0.95;
-          ph_p99_us = q 0.99;
-          ph_p999_us = q 0.999;
-        }
 
 let kinds_used tenants =
   let used k =
@@ -756,27 +908,6 @@ let behavior_of_system name =
   else if name = "VecAdd" then Kernels.Vecadd.behavior
   else Kernels.Machsuite_extra.behavior Kernels.Machsuite_extra.Merge_sort
 
-let mk_tstate t =
-  {
-    ts_t = t;
-    ts_queue = Queue.create ();
-    ts_vft = 0.;
-    ts_offered = 0;
-    ts_admitted = 0;
-    ts_shed_queue = 0;
-    ts_shed_deadline = 0;
-    ts_shed_degraded = 0;
-    ts_completed = 0;
-    ts_failed = 0;
-    ts_bad = 0;
-    ts_slo_viol = 0;
-    ts_bytes = 0;
-    ts_q_wait = S.series ();
-    ts_service = S.series ();
-    ts_collect = S.series ();
-    ts_total = S.series ();
-  }
-
 (* Assemble a report from the live campaign state. Pure observation: it
    reads counters, summarizes the latency series and checks allocator
    invariants, but never touches a queue, an engine, or an RNG stream —
@@ -785,39 +916,13 @@ let mk_report st ~inj ~baseline_free ~duration_ps ~t0 =
   let cfg = st.st_cfg in
   let wall_ps = Desim.Engine.now st.st_engine - t0 in
   let stuck =
-    Array.fold_left (fun a ts -> a + Queue.length ts.ts_queue) 0 st.st_tenants
+    Array.fold_left (fun a l -> a + Dispatch.backlog l) 0 st.st_tenants
   in
   let alloc = H.allocator st.st_handle in
   let tenants =
     Array.to_list
       (Array.map
-         (fun ts ->
-           {
-             tr_name = ts.ts_t.Tenant.t_name;
-             tr_weight = ts.ts_t.Tenant.t_weight;
-             tr_offered = ts.ts_offered;
-             tr_admitted = ts.ts_admitted;
-             tr_shed_queue = ts.ts_shed_queue;
-             tr_shed_deadline = ts.ts_shed_deadline;
-             tr_shed_degraded = ts.ts_shed_degraded;
-             tr_completed = ts.ts_completed;
-             tr_failed = ts.ts_failed;
-             tr_bad_responses = ts.ts_bad;
-             tr_slo_violations = ts.ts_slo_viol;
-             tr_bytes_served = ts.ts_bytes;
-             tr_offered_rps =
-               float_of_int ts.ts_offered
-               /. (float_of_int duration_ps /. 1e12);
-             tr_achieved_rps =
-               (if wall_ps = 0 then 0.
-                else
-                  float_of_int ts.ts_completed
-                  /. (float_of_int wall_ps /. 1e12));
-             tr_queue = phase_of ts.ts_q_wait;
-             tr_service = phase_of ts.ts_service;
-             tr_collect = phase_of ts.ts_collect;
-             tr_total = phase_of ts.ts_total;
-           })
+         (fun l -> Dispatch.tenant_report l ~duration_ps ~wall_ps)
          st.st_tenants)
   in
   {
@@ -911,17 +1016,11 @@ module Session = struct
       | None -> s.se_cfg.c_tenants
       | Some [] -> invalid_arg "Serve.Session.start_phase: no tenants"
       | Some l ->
-          List.iter
-            (fun t ->
-              List.iter
-                (fun c ->
-                  if not (List.mem c.Mix.k_kind s.se_kinds) then
-                    invalid_arg
-                      "Serve.Session.start_phase: tenant mix uses a kind \
-                       with no deployed system (declare it in the session \
-                       config's tenants)")
-                t.Tenant.t_mix)
-            l;
+          if not (List.for_all (fun k -> List.mem k s.se_kinds) (kinds_used l))
+          then
+            invalid_arg
+              "Serve.Session.start_phase: tenant mix uses a kind with no \
+               deployed system (declare it in the session config's tenants)";
           l
     in
     let st =
@@ -930,20 +1029,22 @@ module Session = struct
         st_engine = s.se_engine;
         st_handle = s.se_handle;
         st_tracer = s.se_tracer;
-        st_tenants = Array.of_list (List.map mk_tstate tenants);
+        st_sink =
+          Dispatch.sink ~prefix:"serve" ~count_offers:false ~sample_depth:true
+            s.se_engine s.se_tracer;
+        st_tenants = Array.of_list (List.map Dispatch.ledger tenants);
+        st_kinds = s.se_kinds;
         st_systems =
           Array.of_list
-            (List.mapi
-               (fun i k ->
+            (List.map
+               (fun k ->
                  {
-                   sy_kind = k;
                    sy_name = Mix.kind_system k;
-                   sy_id = i;
                    sy_out = Array.make s.se_cfg.c_n_cores 0;
                    sy_disp = Array.make s.se_cfg.c_n_cores 0;
                  })
                s.se_kinds);
-        st_global_v = 0.;
+        st_vclock = { vt = 0. };
         st_armed = false;
         st_batches = 0;
         st_batched = 0;
@@ -951,7 +1052,15 @@ module Session = struct
     in
     let t0 = Desim.Engine.now s.se_engine in
     s.se_cur <- Some (st, t0, duration_ps);
-    start_clients ~salt:s.se_phases ~t0 ~horizon:(t0 + duration_ps) st;
+    spawn_clients ~engine:s.se_engine ~seed:s.se_cfg.c_seed ~salt:s.se_phases
+      ~horizon:(t0 + duration_ps) ~t0 ~tenants
+      ~offer:(fun ~tenant ~klass ~k ->
+        let admitted =
+          Dispatch.offer st.st_sink st.st_tenants.(tenant) ~txn:0 ~klass ~k
+        in
+        if admitted then arm_dispatch st;
+        admitted)
+      ();
     s.se_phases <- s.se_phases + 1
 
   let advance s ~until =
@@ -966,11 +1075,13 @@ module Session = struct
      perturbs the campaign: no queue is popped, no event fires, no RNG
      stream advances — double-snapshotting and then finishing the phase
      yields the same final report as finishing it without snapshots. *)
+  let report s (st, t0, duration_ps) =
+    mk_report st ~inj:s.se_inj ~baseline_free:s.se_baseline_free ~duration_ps
+      ~t0
+
   let snapshot s =
     match s.se_cur with
-    | Some (st, t0, duration_ps) ->
-        mk_report st ~inj:s.se_inj ~baseline_free:s.se_baseline_free
-          ~duration_ps ~t0
+    | Some cur -> report s cur
     | None -> (
         match s.se_last with
         | Some r -> r
@@ -979,13 +1090,10 @@ module Session = struct
   let finish_phase s =
     match s.se_cur with
     | None -> invalid_arg "Serve.Session.finish_phase: no phase running"
-    | Some (st, t0, duration_ps) ->
+    | Some cur ->
         Desim.Engine.drain_or_fail ~max_events:s.se_cfg.c_max_events
           s.se_engine;
-        let r =
-          mk_report st ~inj:s.se_inj ~baseline_free:s.se_baseline_free
-            ~duration_ps ~t0
-        in
+        let r = report s cur in
         s.se_cur <- None;
         s.se_last <- Some r;
         r
@@ -1002,25 +1110,6 @@ let run ?tracer ?plan ?fault_policy ?platform cfg () =
 let violations r =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  List.iter
-    (fun t ->
-      if t.tr_offered <> t.tr_admitted + t.tr_shed_queue then
-        add "%s: offered %d <> admitted %d + shed-at-admission %d" t.tr_name
-          t.tr_offered t.tr_admitted t.tr_shed_queue;
-      if
-        t.tr_admitted
-        <> t.tr_completed + t.tr_shed_deadline + t.tr_shed_degraded
-           + t.tr_failed
-      then
-        add
-          "%s: admitted %d <> completed %d + shed-at-dispatch %d + \
-           shed-degraded %d + failed %d"
-          t.tr_name t.tr_admitted t.tr_completed t.tr_shed_deadline
-          t.tr_shed_degraded t.tr_failed;
-      if t.tr_bad_responses > 0 then
-        add "%s: %d response payloads mismatched their requests" t.tr_name
-          t.tr_bad_responses)
-    r.r_tenants;
   if r.r_stuck > 0 then add "%d requests still queued after drain" r.r_stuck;
   if not r.r_alloc_ok then add "allocator invariants violated";
   if r.r_leaked_blocks > 0 then
@@ -1032,7 +1121,7 @@ let violations r =
       add "%d lost-message faults never resolved"
         (Fault.Injector.pending_lost inj)
   | _ -> ());
-  List.rev !out
+  Dispatch.tenant_violations r.r_tenants @ List.rev !out
 
 let conserved r = violations r = []
 
@@ -1090,34 +1179,7 @@ let render r =
         t.tr_shed_deadline t.tr_completed t.tr_failed t.tr_slo_violations
         t.tr_offered_rps t.tr_achieved_rps)
     r.r_tenants;
-  let sq, sd, sg =
-    List.fold_left
-      (fun (q, d, g) t ->
-        (q + t.tr_shed_queue, d + t.tr_shed_deadline, g + t.tr_shed_degraded))
-      (0, 0, 0) r.r_tenants
-  in
-  pf "shed breakdown: %s=%d %s=%d %s=%d\n"
-    (shed_reason_name Shed_queue_full)
-    sq
-    (shed_reason_name Shed_deadline)
-    sd
-    (shed_reason_name Shed_degradation)
-    sg;
-  pf "\nlatency (us)%-16s %8s %8s %8s %8s %8s\n" "" "mean" "p50" "p95" "p99"
-    "p99.9";
-  List.iter
-    (fun t ->
-      let row label = function
-        | None -> pf "  %-10s %-15s %8s %8s %8s %8s %8s\n" t.tr_name label "-" "-" "-" "-" "-"
-        | Some p ->
-            pf "  %-10s %-15s %8.1f %8.1f %8.1f %8.1f %8.1f\n" t.tr_name label
-              p.ph_mean_us p.ph_p50_us p.ph_p95_us p.ph_p99_us p.ph_p999_us
-      in
-      row "queue-wait" t.tr_queue;
-      row "service" t.tr_service;
-      row "collect" t.tr_collect;
-      row "total" t.tr_total)
-    r.r_tenants;
+  Dispatch.render_sheds_and_latency b r.r_tenants;
   (match r.r_injector with
   | Some inj -> pf "\nfaults: %s\n" (Fault.Injector.counters_line inj)
   | None -> ());

@@ -292,21 +292,6 @@ let check ?(strict = true) t =
 
 (* -- Chrome trace-event sink ---------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Simulated picoseconds -> trace-format microseconds, as an exact
    decimal string: wall-clock never enters, so output is reproducible. *)
 let ts_us ps = Printf.sprintf "%d.%06d" (ps / 1_000_000) (abs ps mod 1_000_000)
@@ -316,9 +301,9 @@ let arg_json (k, v) =
     match v with
     | Int i -> string_of_int i
     | Float f -> Printf.sprintf "%.6g" f
-    | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+    | Str s -> Printf.sprintf "\"%s\"" (Strutil.json_escape s)
   in
-  Printf.sprintf "\"%s\":%s" (json_escape k) v
+  Printf.sprintf "\"%s\":%s" (Strutil.json_escape k) v
 
 let args_json kvs =
   match kvs with
@@ -364,7 +349,7 @@ let to_chrome_json t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d%s}"
-           (json_escape sp.sp_name) (json_escape sp.sp_cat)
+           (Strutil.json_escape sp.sp_name) (Strutil.json_escape sp.sp_cat)
            (ts_us sp.sp_start)
            (ts_us (stop - sp.sp_start))
            (tid_of sp.sp_track) (args_json args)))
@@ -378,7 +363,9 @@ let to_chrome_json t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":1,\"tid\":%d%s}"
-           (json_escape i.in_name) (json_escape i.in_cat) (ts_us i.in_time)
+           (Strutil.json_escape i.in_name)
+           (Strutil.json_escape i.in_cat)
+           (ts_us i.in_time)
            (tid_of i.in_track) (args_json args)))
     instants;
   List.iter
@@ -386,7 +373,7 @@ let to_chrome_json t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"args\":{\"value\":%d}}"
-           (json_escape s.ls_name) (ts_us s.ls_time) s.ls_value))
+           (Strutil.json_escape s.ls_name) (ts_us s.ls_time) s.ls_value))
     (List.rev t.samples);
   (* Thread-name metadata so chrome://tracing labels the lanes. *)
   let meta =
@@ -394,7 +381,7 @@ let to_chrome_json t =
       (fun track ->
         Printf.sprintf
           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-          (Hashtbl.find tids track) (json_escape track))
+          (Hashtbl.find tids track) (Strutil.json_escape track))
       !track_order
   in
   pf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";

@@ -221,17 +221,6 @@ let promotes ~(inc : score) ~(ch : score) ~wins ~losses =
 (* JSON / rendering helpers                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code ch)))
-          0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 let knobs_json (k : Knobs.t) =
   Printf.sprintf
     "{\"cores\":%d,\"channels\":%d,\"prefetch\":%d,\"batch\":%d,\"core_cap\":%d}"
@@ -319,7 +308,7 @@ let pareto_json (r : result) =
     (String.concat "," (List.map candidate_json (pareto r)));
   Buffer.contents b
 
-let digest r = fnv1a64 (pareto_json r)
+let digest r = Printf.sprintf "%016Lx" (Strutil.fnv1a64 (pareto_json r))
 
 let render (r : result) =
   let b = Buffer.create 1024 in
