@@ -705,6 +705,101 @@ let sim_speed () =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* soc-boot: what booting a SoC costs the host. Device memory is a     *)
+(* sparse page store, so a boot allocates only the page table; the     *)
+(* dense array it replaced zero-filled every byte. Boot time, the      *)
+(* major-heap words one boot allocates and the resident bytes are      *)
+(* archived to BENCH_socboot.json next to the dense store's figures;   *)
+(* the run fails if one 128 MB boot allocates more than 1 MB of major  *)
+(* heap. The bound counts words, so it does not depend on host load.   *)
+(* ------------------------------------------------------------------ *)
+
+(* The same experiment on the dense [Bytes] store this replaced, on an
+   Intel Xeon (2 vCPU) host, median boot of three runs: (memory MB, boot
+   ms, major words per boot, resident bytes). *)
+let socboot_dense_baseline =
+  [
+    (64, 42.750, 8_390_292, 64 * 1024 * 1024);
+    (128, 85.930, 16_778_900, 128 * 1024 * 1024);
+  ]
+
+let socboot_bound_words = 1024 * 1024 / (Sys.word_size / 8)
+
+let soc_boot () =
+  header "soc-boot"
+    "SoC boot cost on the host: sparse device memory (64 KB pages on first\n\
+     write) against the dense zero-filled array it replaced";
+  let design =
+    Beethoven.Elaborate.elaborate
+      (Kernels.Memcpy.config Kernels.Memcpy.Beethoven)
+      D.aws_f1
+  in
+  let boots = 5 in
+  let boot memory_bytes =
+    Gc.minor ();
+    let w0 = (Gc.quick_stat ()).Gc.major_words in
+    let t0 = Sys.time () in
+    let soc =
+      Beethoven.Soc.create ~memory_bytes design
+        ~behaviors:(fun _ -> Kernels.Memcpy.behavior)
+    in
+    let dt = Sys.time () -. t0 in
+    (* count what the boot promoted, too *)
+    Gc.minor ();
+    let words = (Gc.quick_stat ()).Gc.major_words -. w0 in
+    (dt, int_of_float words, Beethoven.Soc.resident_bytes soc)
+  in
+  let rows =
+    List.map
+      (fun mb ->
+        let runs = List.init boots (fun _ -> boot (mb * 1024 * 1024)) in
+        let ms =
+          List.nth
+            (List.sort compare (List.map (fun (dt, _, _) -> 1e3 *. dt) runs))
+            (boots / 2)
+        in
+        let words = List.fold_left (fun m (_, w, _) -> max m w) 0 runs in
+        let resident = List.fold_left (fun m (_, _, r) -> max m r) 0 runs in
+        (mb, ms, words, resident))
+      [ 64; 128 ]
+  in
+  Printf.printf "  %-7s %-8s %12s %16s %16s\n" "memory" "store" "boot ms"
+    "major words" "resident bytes";
+  let print store (mb, ms, words, resident) =
+    Printf.printf "  %4d MB %-8s %12.3f %16d %16d\n" mb store ms words resident
+  in
+  List.iter2
+    (fun dense sparse ->
+      print "dense" dense;
+      print "sparse" sparse)
+    socboot_dense_baseline rows;
+  let json rows =
+    String.concat ","
+      (List.map
+         (fun (mb, ms, words, resident) ->
+           Printf.sprintf
+             "{\"memory_mb\":%d,\"boot_ms\":%.3f,\"major_words_per_boot\":%d,\"resident_bytes\":%d}"
+             mb ms words resident)
+         rows)
+  in
+  let oc = open_out "BENCH_socboot.json" in
+  Printf.fprintf oc
+    "{\"experiment\":\"soc-boot\",\"design\":\"memcpy\",\"platform\":\"aws-f1\",\"boots\":%d,\"page_bytes\":%d,\"bound_major_words_128mb\":%d,\"sparse\":[%s],\"dense_baseline\":[%s]}\n"
+    boots Devmem.page_bytes socboot_bound_words (json rows)
+    (json socboot_dense_baseline);
+  close_out oc;
+  Printf.printf "  archived to BENCH_socboot.json\n";
+  List.iter
+    (fun (mb, _, words, _) ->
+      if mb = 128 && words > socboot_bound_words then
+        failwith
+          (Printf.sprintf
+             "soc-boot: one 128 MB boot allocated %d major-heap words (bound \
+              %d, 1 MB)"
+             words socboot_bound_words))
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* tune: the closed-loop autotuner. The Pareto front and the           *)
 (* elaboration-cache hit/miss counts are archived to BENCH_tune.json;  *)
 (* the run fails unless the final incumbent dominates the conservative *)
@@ -828,6 +923,7 @@ let experiments =
     ("trace", ablation_trace);
     ("serve", ablation_serve);
     ("sim-speed", sim_speed);
+    ("soc-boot", soc_boot);
     ("tune", tune);
   ]
 

@@ -86,14 +86,29 @@ let validate circuit (sys : Config.system) =
         ])
     sys.Config.write_channels
 
-(* one simulator per (soc, system, core) *)
-let instances : (int * string * int, core_state) Hashtbl.t = Hashtbl.create 8
+(* One simulator per (system, core) of each SoC. The table holds its SoC
+   keys weakly (an ephemeron), so a SoC that nothing else references is
+   collected together with its simulators. *)
+module By_soc = Ephemeron.K1.Make (struct
+  type t = Soc.t
+
+  let equal = ( == )
+  let hash = Soc.uid
+end)
+
+let instances : (string * int, core_state) Hashtbl.t By_soc.t = By_soc.create 8
 
 let state_of ?backend ~build (ctx : Soc.ctx) =
-  let key =
-    (Soc.uid ctx.Soc.soc, ctx.Soc.system.Config.sys_name, ctx.Soc.core_id)
+  let cores =
+    match By_soc.find_opt instances ctx.Soc.soc with
+    | Some cores -> cores
+    | None ->
+        let cores = Hashtbl.create 4 in
+        By_soc.replace instances ctx.Soc.soc cores;
+        cores
   in
-  match Hashtbl.find_opt instances key with
+  let key = (ctx.Soc.system.Config.sys_name, ctx.Soc.core_id) in
+  match Hashtbl.find_opt cores key with
   | Some st -> st
   | None ->
       let circuit = build () in
@@ -147,7 +162,7 @@ let state_of ?backend ~build (ctx : Soc.ctx) =
           ctx.Soc.system.Config.scratchpads
       in
       let st = { sim; reads; writes; spads } in
-      Hashtbl.add instances key st;
+      Hashtbl.add cores key st;
       st
 
 let high sim name = Hw.Sim.output_int sim name = 1

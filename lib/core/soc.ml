@@ -14,7 +14,7 @@ type t = {
   dram : Dram.t;
   axi : Axi.t; (* port 0; kept for stats/back-compat *)
   axi_ports : Axi.t array; (* one per DDR controller *)
-  memory : Bytes.t;
+  memory : Devmem.t; (* sparse: pages materialise on first write *)
   ace_snoop_ps : int;
       (* embedded platforms: per-transaction AXI-ACE coherence cost *)
   mutable coherent_txns : int;
@@ -105,21 +105,23 @@ and spad = {
 (* Device memory contents                                              *)
 (* ------------------------------------------------------------------ *)
 
-let mem_size t = Bytes.length t.memory
-let read_u8 t a = Char.code (Bytes.get t.memory a)
-let write_u8 t a v = Bytes.set t.memory a (Char.chr (v land 0xff))
-let read_u32 t a = Bytes.get_int32_le t.memory a
-let write_u32 t a v = Bytes.set_int32_le t.memory a v
-let read_u64 t a = Bytes.get_int64_le t.memory a
-let write_u64 t a v = Bytes.set_int64_le t.memory a v
+let mem_size t = Devmem.size t.memory
+let resident_bytes t = Devmem.resident_pages t.memory * Devmem.page_bytes
+let read_u8 t a = Devmem.get_u8 t.memory a
+let write_u8 t a v = Devmem.set_u8 t.memory a v
+let read_u32 t a = Devmem.get_int32_le t.memory a
+let write_u32 t a v = Devmem.set_int32_le t.memory a v
+let read_u64 t a = Devmem.get_int64_le t.memory a
+let write_u64 t a v = Devmem.set_int64_le t.memory a v
 
 let blit_in t ~src ~dst_addr =
-  Bytes.blit src 0 t.memory dst_addr (Bytes.length src)
+  Devmem.blit_from_bytes src 0 t.memory dst_addr (Bytes.length src)
 
 let blit_out t ~src_addr ~dst =
-  Bytes.blit t.memory src_addr dst 0 (Bytes.length dst)
+  Devmem.blit_to_bytes t.memory src_addr dst 0 (Bytes.length dst)
 
-let copy_within t ~src ~dst ~bytes = Bytes.blit t.memory src t.memory dst bytes
+let copy_within t ~src ~dst ~bytes =
+  Devmem.copy_within t.memory ~src ~dst ~len:bytes
 
 (* On embedded platforms every fabric access is marked coherent over
    AXI-ACE (§II-C2); the snoop adds a couple of interconnect cycles and is
@@ -682,7 +684,7 @@ module Scratchpad = struct
     if bytes > total then invalid_arg "Scratchpad.init: larger than capacity";
     Reader.bulk sp.sp_reader ~addr ~bytes ~on_done:(fun () ->
         (* contents land as the fill completes *)
-        Bytes.blit sp.sp_soc.memory addr sp.sp_data 0 bytes;
+        Devmem.blit_to_bytes sp.sp_soc.memory addr sp.sp_data 0 bytes;
         on_done ())
 
   let get (sp : sp) row =
@@ -775,7 +777,7 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
       platform;
       dram;
       axi;
-      memory = Bytes.make memory_bytes '\000';
+      memory = Devmem.create memory_bytes;
       ace_snoop_ps =
         (if platform.Platform.Device.host.Platform.Device.shared_address_space
          then 2 * platform.Platform.Device.fabric_clock_ps
@@ -799,18 +801,18 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
       Dram.set_burst_hook dram (fun ~addr ~bytes ~dir ->
           match dir with
           | Dram.Write ->
-              if addr < Bytes.length t.memory then
+              if addr < Devmem.size t.memory then
                 Fault.Ecc.note_write ecc ~addr
-                  ~bytes:(min bytes (Bytes.length t.memory - addr))
+                  ~bytes:(min bytes (Devmem.size t.memory - addr))
           | Dram.Read ->
-              if addr + bytes <= Bytes.length t.memory then begin
+              if addr + bytes <= Devmem.size t.memory then begin
                 let now = Desim.Engine.now engine in
                 let flip ~cls ~bits =
                   let words = max 1 (bytes / 8) in
                   let word_addr =
                     addr + (8 * Fault.Injector.draw_int inj ~bound:words)
                   in
-                  if word_addr + 8 <= Bytes.length t.memory then begin
+                  if word_addr + 8 <= Devmem.size t.memory then begin
                     let b1 = Fault.Injector.draw_int inj ~bound:64 in
                     Fault.Ecc.inject_flip ecc ~mem:t.memory ~word_addr ~bit:b1;
                     if bits > 1 then begin

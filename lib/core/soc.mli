@@ -204,6 +204,13 @@ val stats_report : t -> string
     counts and latencies, fabric message counts. *)
 
 val mem_size : t -> int
+
+val resident_bytes : t -> int
+(** Host memory backing the device memory: the 64 KB pages written so
+    far, times 64 KB. Device memory is sparse ({!Devmem}): a page is
+    allocated on its first write, and pages never written read as zero.
+    A freshly booted SoC has none. *)
+
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u32 : t -> int -> int32

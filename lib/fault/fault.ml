@@ -133,13 +133,13 @@ module Ecc = struct
   let create () =
     { latched = Hashtbl.create 64; n_corrected = 0; n_uncorrectable = 0 }
 
-  let get_word mem addr = Bytes.get_int64_le mem addr
-  let set_word mem addr v = Bytes.set_int64_le mem addr v
+  let get_word mem addr = Devmem.get_int64_le mem addr
+  let set_word mem addr v = Devmem.set_int64_le mem addr v
 
   let inject_flip t ~mem ~word_addr ~bit =
     if bit < 0 || bit > 63 then invalid_arg "Ecc.inject_flip: bit";
     let word_addr = word_addr land lnot 7 in
-    if word_addr + 8 > Bytes.length mem then
+    if word_addr + 8 > Devmem.size mem then
       invalid_arg "Ecc.inject_flip: address out of range";
     let w = get_word mem word_addr in
     if not (Hashtbl.mem t.latched word_addr) then
@@ -159,7 +159,7 @@ module Ecc = struct
 
   let scrub t ~mem ~addr ~bytes =
     let first = addr land lnot 7 in
-    let last = min ((addr + bytes - 1) land lnot 7) (Bytes.length mem - 8) in
+    let last = min ((addr + bytes - 1) land lnot 7) (Devmem.size mem - 8) in
     let corrected = ref 0 and uncorrectable = ref 0 in
     let a = ref first in
     while !a <= last do

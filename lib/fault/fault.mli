@@ -52,7 +52,7 @@ module Ecc : sig
 
   val create : unit -> t
 
-  val inject_flip : t -> mem:Bytes.t -> word_addr:int -> bit:int -> unit
+  val inject_flip : t -> mem:Devmem.t -> word_addr:int -> bit:int -> unit
   (** Corrupt bit [bit] (0..63) of the aligned 8-byte word at
       [word_addr] in [mem], first latching the word's check bits if this
       is the first corruption since the word was last rewritten. *)
@@ -61,7 +61,7 @@ module Ecc : sig
   (** A write burst landed over [addr, addr+bytes): any latched
       codewords there are stale (the cells hold fresh data). *)
 
-  val scrub : t -> mem:Bytes.t -> addr:int -> bytes:int -> int * int
+  val scrub : t -> mem:Devmem.t -> addr:int -> bytes:int -> int * int
   (** Scrub-on-read over a burst window: decode every latched codeword
       in range, repairing single-bit errors in place. Returns
       [(corrected, uncorrectable)] counts for the window. *)

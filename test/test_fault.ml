@@ -46,49 +46,72 @@ let prop_ecc_double_bit =
       in
       F.Ecc.decode ~data:corrupted ~check:(F.Ecc.encode w) = F.Ecc.Uncorrectable)
 
+(* The ECC model runs over the sparse device-memory store; [image]
+   reads a window back as bytes for whole-window comparisons. *)
+let image mem n =
+  let b = Bytes.create n in
+  Devmem.blit_to_bytes mem 0 b 0 n;
+  b
+
 let test_ecc_scrub_repairs_memory () =
   let ecc = F.Ecc.create () in
-  let mem = Bytes.create 64 in
+  let mem = Devmem.create 64 in
   for i = 0 to 7 do
-    Bytes.set_int64_le mem (i * 8) (Int64.of_int ((i * 2654435761) lor 1))
+    Devmem.set_int64_le mem (i * 8) (Int64.of_int ((i * 2654435761) lor 1))
   done;
-  let orig = Bytes.copy mem in
+  let orig = image mem 64 in
   F.Ecc.inject_flip ecc ~mem ~word_addr:16 ~bit:5;
-  check_bool "memory corrupted" true (not (Bytes.equal mem orig));
+  check_bool "memory corrupted" true (not (Bytes.equal (image mem 64) orig));
   let corrected, uncorrectable = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:64 in
   check_int "one word repaired" 1 corrected;
   check_int "no uncorrectable" 0 uncorrectable;
-  check_bool "memory restored in place" true (Bytes.equal mem orig);
+  check_bool "memory restored in place" true (Bytes.equal (image mem 64) orig);
   (* a second scrub finds nothing: the latch was consumed by the repair *)
   let c2, u2 = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:64 in
   check_int "idempotent" 0 (c2 + u2)
 
 let test_ecc_double_flip_detected () =
   let ecc = F.Ecc.create () in
-  let mem = Bytes.create 32 in
-  Bytes.set_int64_le mem 8 0x1234_5678_9abc_def0L;
+  let mem = Devmem.create 32 in
+  Devmem.set_int64_le mem 8 0x1234_5678_9abc_def0L;
   F.Ecc.inject_flip ecc ~mem ~word_addr:8 ~bit:3;
   F.Ecc.inject_flip ecc ~mem ~word_addr:8 ~bit:40;
   let corrected, uncorrectable = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:32 in
   check_int "nothing correctable" 0 corrected;
   check_int "flagged uncorrectable" 1 uncorrectable;
   check_bool "corruption stands" true
-    (Bytes.get_int64_le mem 8 <> 0x1234_5678_9abc_def0L);
+    (Devmem.get_int64_le mem 8 <> 0x1234_5678_9abc_def0L);
   check_int "running total" 1 (F.Ecc.uncorrectable ecc)
 
 let test_ecc_write_clears_latch () =
   let ecc = F.Ecc.create () in
-  let mem = Bytes.create 16 in
-  Bytes.set_int64_le mem 0 99L;
+  let mem = Devmem.create 16 in
+  Devmem.set_int64_le mem 0 99L;
   F.Ecc.inject_flip ecc ~mem ~word_addr:0 ~bit:0;
   (* fresh data lands over the corrupted word: the latched codeword is
      stale and must not "repair" the new contents *)
-  Bytes.set_int64_le mem 0 77L;
+  Devmem.set_int64_le mem 0 77L;
   F.Ecc.note_write ecc ~addr:0 ~bytes:8;
   let corrected, uncorrectable = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:16 in
   check_int "nothing to scrub" 0 (corrected + uncorrectable);
   check_string "fresh data intact" "77"
-    (Int64.to_string (Bytes.get_int64_le mem 0))
+    (Int64.to_string (Devmem.get_int64_le mem 0))
+
+let test_ecc_flip_in_unwritten_page () =
+  (* a never-written page reads as zero; a flip there materialises it,
+     and the scrub must put the zero word back *)
+  let ecc = F.Ecc.create () in
+  let mem = Devmem.create (4 * Devmem.page_bytes) in
+  let word_addr = (2 * Devmem.page_bytes) + 40 in
+  F.Ecc.inject_flip ecc ~mem ~word_addr ~bit:17;
+  check_bool "flip visible" true (Devmem.get_int64_le mem word_addr <> 0L);
+  let corrected, uncorrectable =
+    F.Ecc.scrub ecc ~mem ~addr:(2 * Devmem.page_bytes) ~bytes:64
+  in
+  check_int "one word repaired" 1 corrected;
+  check_int "no uncorrectable" 0 uncorrectable;
+  check_string "restored to zero" "0"
+    (Int64.to_string (Devmem.get_int64_le mem word_addr))
 
 (* ---- campaign determinism ---- *)
 
@@ -330,6 +353,8 @@ let () =
             test_ecc_double_flip_detected;
           Alcotest.test_case "write clears latch" `Quick
             test_ecc_write_clears_latch;
+          Alcotest.test_case "flip in unwritten page" `Quick
+            test_ecc_flip_in_unwritten_page;
         ] );
       ( "determinism",
         [

@@ -166,6 +166,38 @@ let test_rtl_core_sequential_commands () =
     "three adds accumulated" 3l
     (B.Soc.read_u32 soc (p.H.rp_addr + 400))
 
+let test_rtl_core_soc_collected () =
+  (* the bridge keeps one simulator per RTL core of each SoC; once the
+     SoC itself is dropped, that state must not keep it reachable *)
+  let collected = ref false in
+  let run_one_command () =
+    let design =
+      B.Elaborate.elaborate (Kernels.Vecadd_rtl.config ()) D.aws_f1
+    in
+    let soc =
+      B.Soc.create design ~behaviors:(fun _ -> Kernels.Vecadd_rtl.behavior)
+    in
+    Gc.finalise (fun _ -> collected := true) soc;
+    let module H = Runtime.Handle in
+    let handle = H.create soc in
+    let p = H.malloc handle 256 in
+    let h =
+      H.send handle ~system:"VecAddRTL" ~core:0 ~cmd:Kernels.Vecadd_rtl.command
+        ~args:
+          [
+            ("vec_addr", Int64.of_int p.H.rp_addr);
+            ("addend", 1L);
+            ("n_eles", 64L);
+          ]
+    in
+    H.await handle h
+  in
+  let resp = (Sys.opaque_identity run_one_command) () in
+  check_bool "command ran" true (resp = 64L);
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "dropped SoC collected" true !collected
+
 let test_rtl_missing_port_rejected () =
   let bad () =
     let open Hw.Signal in
@@ -340,6 +372,8 @@ let () =
             test_rtl_core_sequential_commands;
           Alcotest.test_case "missing ports" `Quick
             test_rtl_missing_port_rejected;
+          Alcotest.test_case "dropped soc collected" `Quick
+            test_rtl_core_soc_collected;
         ] );
       ( "intercore",
         [

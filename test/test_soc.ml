@@ -175,6 +175,36 @@ let test_vecadd_multicore_speedup () =
   let _, _, t4 = Kernels.Vecadd.run ~n_cores:4 ~n_eles:65536 ~platform:D.aws_f1 () in
   check_bool "4 cores faster than 1" true (t4 < t1)
 
+(* ---- device memory footprint: pages materialise on first write ---- *)
+
+let test_resident_footprint () =
+  let module H = Runtime.Handle in
+  let module M = Kernels.Memcpy in
+  let design = B.Elaborate.elaborate (M.config M.Beethoven) D.aws_f1 in
+  let soc =
+    Soc.create ~memory_bytes:(128 * 1024 * 1024) design
+      ~behaviors:(fun _ -> M.behavior)
+  in
+  check_int "fresh boot holds no pages" 0 (Soc.resident_bytes soc);
+  let handle = H.create soc in
+  let src = H.malloc handle 4096 and dst = H.malloc handle 4096 in
+  Bytes.fill (H.host_bytes handle src) 0 4096 '\x5a';
+  H.copy_to_fpga handle src ~on_done:ignore;
+  Desim.Engine.run (H.engine handle);
+  let h =
+    H.send handle ~system:"Memcpy" ~core:0 ~cmd:M.command
+      ~args:
+        [
+          ("src", Int64.of_int src.H.rp_addr);
+          ("dst", Int64.of_int dst.H.rp_addr);
+          ("bytes", 4096L);
+        ]
+  in
+  ignore (H.await handle h);
+  check_int "copied" 0x5a (Soc.read_u8 soc (dst.H.rp_addr + 4095));
+  check_bool "one 4 KB memcpy touches at most 2 pages" true
+    (Soc.resident_bytes soc <= 2 * 64 * 1024)
+
 (* ---- property: streamed data arrives exactly once, in order ---- *)
 
 let prop_stream =
@@ -225,5 +255,7 @@ let () =
           Alcotest.test_case "multicore speedup" `Quick
             test_vecadd_multicore_speedup;
         ] );
+      ( "memory",
+        [ Alcotest.test_case "resident footprint" `Quick test_resident_footprint ] );
       ("properties", [ prop_stream ]);
     ]
