@@ -800,6 +800,81 @@ let soc_boot () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* lockstep: host allocation of the fleet's event hot path. The        *)
+(* @cluster gate's campaign (seed 5, 4 devices, 600 us at 30 k req/s,  *)
+(* device 0 killed at 150 us and restored at 400 us) runs once to warm *)
+(* the elaboration cache, then again under Gc.minor_words. Minor words *)
+(* per fired engine event and per lockstep round are archived to       *)
+(* BENCH_lockstep.json next to the allocating round path's figures;    *)
+(* the run fails if words per round exceed the bound. Words repeat     *)
+(* exactly per seed, so the bound does not depend on host load.        *)
+(* ------------------------------------------------------------------ *)
+
+(* The same experiment before the round path stopped allocating (option
+   lookahead, per-round engine lists, optional-argument [run] calls, one
+   closure per memory item or DRAM chunk): (events, rounds, minor words).
+   Events and rounds are the simulation's, so they match the run below. *)
+let lockstep_baseline = (86_041, 43_400, 11_660_435)
+
+(* about twice the allocation-free round path, a quarter of the old one *)
+let lockstep_bound_words_per_round = 64.
+
+let lockstep () =
+  header "lockstep"
+    "Host minor words per engine event and per lockstep round, @cluster\n\
+     gate campaign, against the allocating round path";
+  let cfg =
+    Cluster.config ~seed:5 ~duration_ps:600_000_000 ~devices:4
+      ~tenants:(Cluster.demo_tenants ~rate_rps:30_000.)
+      ()
+  in
+  let chaos =
+    [
+      Cluster.Kill { at = 150_000_000; dev = 0 };
+      Cluster.Restore { at = 400_000_000; dev = 0 };
+    ]
+  in
+  ignore (Cluster.run ~chaos cfg ());
+  let w0 = Gc.minor_words () in
+  let r = Cluster.run ~chaos cfg () in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  let row (events, rounds, words) =
+    ( events,
+      rounds,
+      words,
+      float_of_int words /. float_of_int (max 1 events),
+      float_of_int words /. float_of_int (max 1 rounds) )
+  in
+  let now = row (r.Cluster.c_events, r.Cluster.c_rounds, words) in
+  let base = row lockstep_baseline in
+  Printf.printf "  %-10s %10s %10s %14s %12s %12s\n" "round path" "events"
+    "rounds" "minor words" "words/event" "words/round";
+  let print name (events, rounds, words, per_event, per_round) =
+    Printf.printf "  %-10s %10d %10d %14d %12.1f %12.1f\n" name events rounds
+      words per_event per_round
+  in
+  print "baseline" base;
+  print "current" now;
+  let json (events, rounds, words, per_event, per_round) =
+    Printf.sprintf
+      "{\"events\":%d,\"rounds\":%d,\"minor_words\":%d,\"words_per_event\":%.1f,\"words_per_round\":%.1f}"
+      events rounds words per_event per_round
+  in
+  let oc = open_out "BENCH_lockstep.json" in
+  Printf.fprintf oc
+    "{\"experiment\":\"lockstep\",\"campaign\":\"cluster --seed 5 --devices 4 --duration 600 --kill 0:150 --restore 0:400\",\"digest\":\"%s\",\"bound_words_per_round\":%.1f,\"current\":%s,\"baseline\":%s}\n"
+    (Strutil.json_escape (Cluster.digest r))
+    lockstep_bound_words_per_round (json now) (json base);
+  close_out oc;
+  Printf.printf "  archived to BENCH_lockstep.json\n";
+  let _, _, _, _, per_round = now in
+  if per_round > lockstep_bound_words_per_round then
+    failwith
+      (Printf.sprintf
+         "lockstep: %.1f minor words per lockstep round (bound %.1f)"
+         per_round lockstep_bound_words_per_round)
+
+(* ------------------------------------------------------------------ *)
 (* tune: the closed-loop autotuner. The Pareto front and the           *)
 (* elaboration-cache hit/miss counts are archived to BENCH_tune.json;  *)
 (* the run fails unless the final incumbent dominates the conservative *)
@@ -924,6 +999,7 @@ let experiments =
     ("serve", ablation_serve);
     ("sim-speed", sim_speed);
     ("soc-boot", soc_boot);
+    ("lockstep", lockstep);
     ("tune", tune);
   ]
 

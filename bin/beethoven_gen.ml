@@ -861,20 +861,7 @@ let cluster_run seed devices warm duration_us rate kills restores curve =
     print_string (Cluster.render_loss_curve pts)
   end
   else begin
-    let tenants =
-      [
-        Serve.Tenant.make ~name:"gold" ~weight:3.0 ~clients:4
-          ~slo_ps:400_000_000 ~deadline_ps:900_000_000
-          ~mix:[ Serve.Mix.memcpy ~bytes:(8 * 1024) () ]
-          ~load:(Serve.Tenant.open_loop ~rate_rps:(rate /. 4.) ())
-          ();
-        Serve.Tenant.make ~name:"bronze" ~weight:1.0 ~clients:2
-          ~slo_ps:500_000_000 ~deadline_ps:900_000_000
-          ~mix:[ Serve.Mix.vecadd ~bytes:(4 * 1024) () ]
-          ~load:(Serve.Tenant.Closed_loop { think_ps = 30_000_000 })
-          ();
-      ]
-    in
+    let tenants = Cluster.demo_tenants ~rate_rps:rate in
     let cfg = Cluster.config ~seed ~duration_ps ~devices ?warm ~tenants () in
     let chaos =
       List.map

@@ -347,18 +347,20 @@ let enqueue t queue txn =
   Queue.push txn queue.q;
   launch t queue
 
-(* Open the burst span at issue time (the AR/AW handshake). *)
+(* Open the burst span at issue time (the AR/AW handshake). The track
+   name is only read by the tracer, so untraced ports leave it empty. *)
 let open_span t ~dir ~parent ~id ~addr ~beats ~now =
-  let dir_s = match dir with Dram.Read -> "rd" | Dram.Write -> "wr" in
-  let track = Printf.sprintf "%s %s id%02d" t.port_name dir_s id in
-  let span =
+  let span, track =
     match t.tracer with
-    | None -> None
+    | None -> (None, "")
     | Some tr ->
-        Some
-          (Tracer.begin_span tr ~now ?parent ~track ~cat:"axi"
-             ~name:(Printf.sprintf "%s 0x%x x%d" dir_s addr beats)
-             ())
+        let dir_s = match dir with Dram.Read -> "rd" | Dram.Write -> "wr" in
+        let track = Printf.sprintf "%s %s id%02d" t.port_name dir_s id in
+        ( Some
+            (Tracer.begin_span tr ~now ?parent ~track ~cat:"axi"
+               ~name:(Printf.sprintf "%s 0x%x x%d" dir_s addr beats)
+               ()),
+          track )
   in
   t.outstanding <- t.outstanding + 1;
   sample_outstanding t;

@@ -158,6 +158,10 @@ type cstate = {
   mutable st_horizon : int;  (* heartbeats self-reschedule until then *)
   mutable st_served_ps : int;  (* accumulated traffic-phase time *)
   mutable st_phases : int;  (* phases started (next phase's salt) *)
+  st_live : Desim.Engine.t array;  (* this round's live engines, reused *)
+  mutable st_n_live : int;  (* filled prefix of [st_live] *)
+  mutable st_rounds : int;  (* lockstep rounds over the session *)
+  mutable st_retired_events : int;  (* fired by rebooted-away engines *)
 }
 
 let now st = Desim.Engine.now st.st_host
@@ -263,6 +267,8 @@ let dev_engine dv = H.engine dv.dv_handle
 let reboot st dv =
   let cfg = st.st_cfg in
   dv.dv_busy_prev <- dv.dv_busy_prev + H.server_busy_ps dv.dv_handle;
+  st.st_retired_events <-
+    st.st_retired_events + Desim.Engine.fired (dev_engine dv);
   dv.dv_gen <- dv.dv_gen + 1;
   let traced = dv.dv_tracer <> None || (st.st_tracer <> None) in
   let engine, handle, inj, tracer =
@@ -756,75 +762,82 @@ let restore_device st dv =
    actions and the dispatch pump run between rounds, when every live
    clock agrees — so cross-engine calls (H.send from the coordinator,
    closed-loop wakeups on the host engine from a device completion) are
-   always made at a single consistent cluster time. *)
-let live_engines st =
-  st.st_host
-  :: (Array.to_list st.st_devices
-     |> List.filter (fun dv -> not dv.dv_frozen)
-     |> List.map dev_engine)
+   always made at a single consistent cluster time.
+
+   The live set only changes in agenda actions and session calls (kill,
+   drain, restore), never inside an engine event, so one snapshot holds
+   for a whole round. It is taken into the reused [st_live] array and the
+   round reads it with [peek_time]/[run_until]: no list, option or
+   closure is allocated per round. *)
+let snapshot_live st =
+  st.st_live.(0) <- st.st_host;
+  let n = ref 1 in
+  for i = 0 to Array.length st.st_devices - 1 do
+    let dv = st.st_devices.(i) in
+    if not dv.dv_frozen then begin
+      st.st_live.(!n) <- dev_engine dv;
+      incr n
+    end
+  done;
+  st.st_n_live <- !n
+
+let run_live st t =
+  for i = 0 to st.st_n_live - 1 do
+    Desim.Engine.run_until st.st_live.(i) ~until:t
+      ~max_events:st.st_cfg.cl_max_events
+  done
+
+let live_due st t =
+  let due = ref false and i = ref 0 in
+  while (not !due) && !i < st.st_n_live do
+    due := Desim.Engine.peek_time st.st_live.(!i) <= t;
+    incr i
+  done;
+  !due
 
 let advance_live st t =
-  List.iter
-    (fun e -> Desim.Engine.run ~until:t ~max_events:st.st_cfg.cl_max_events e)
-    (live_engines st)
+  snapshot_live st;
+  run_live st t
 
 let drive st =
   let cfg = st.st_cfg in
+  (* earliest pending time over the agenda and the live snapshot;
+     [max_int] when nothing is pending anywhere *)
   let next_min () =
-    let engines = live_engines st in
     let m =
-      List.fold_left
-        (fun acc e ->
-          match (Desim.Engine.next_time e, acc) with
-          | None, acc -> acc
-          | Some t, None -> Some t
-          | Some t, Some a -> Some (min t a))
-        None engines
+      ref (match st.st_agenda with it :: _ -> it.ag_time | [] -> max_int)
     in
-    match (st.st_agenda, m) with
-    | [], m -> m
-    | it :: _, None -> Some it.ag_time
-    | it :: _, Some a -> Some (min it.ag_time a)
+    for i = 0 to st.st_n_live - 1 do
+      let p = Desim.Engine.peek_time st.st_live.(i) in
+      if p < !m then m := p
+    done;
+    !m
   in
-  let run_due_agenda () =
-    let rec go () =
-      match st.st_agenda with
-      | it :: tl when it.ag_time <= now st ->
-          st.st_agenda <- tl;
-          it.ag_act ();
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let rec run_due_agenda () =
+    match st.st_agenda with
+    | it :: tl when it.ag_time <= now st ->
+        st.st_agenda <- tl;
+        it.ag_act ();
+        run_due_agenda ()
+    | _ -> ()
   in
-  let rounds = ref 0 in
+  let rounds0 = st.st_rounds in
   let rec loop () =
-    incr rounds;
-    if !rounds > cfg.cl_max_events then
+    st.st_rounds <- st.st_rounds + 1;
+    if st.st_rounds - rounds0 > cfg.cl_max_events then
       failwith "Cluster: coordinator livelock (round budget exhausted)";
     run_due_agenda ();
     pump_all st;
-    match next_min () with
-    | None -> ()
-    | Some t ->
-        advance_live st t;
-        (* same-time cascades across engines *)
-        let rec settle () =
-          let again =
-            List.exists
-              (fun e ->
-                match Desim.Engine.next_time e with
-                | Some t' -> t' <= t
-                | None -> false)
-              (live_engines st)
-          in
-          if again then begin
-            advance_live st t;
-            settle ()
-          end
-        in
-        settle ();
-        loop ()
+    snapshot_live st;
+    let t = next_min () in
+    if t < max_int then begin
+      run_live st t;
+      (* same-time cascades across engines *)
+      while live_due st t do
+        run_live st t
+      done;
+      loop ()
+    end
   in
   loop ()
 
@@ -861,6 +874,8 @@ type report = {
   c_lost_acked : int;
   c_degraded_sheds : int;
   c_device_tracers : (string * Trace.t) list;
+  c_rounds : int;
+  c_events : int;
 }
 
 (* Build the cluster state and boot every device slot. Shared by the
@@ -918,6 +933,10 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
       st_horizon = 0;
       st_served_ps = 0;
       st_phases = 0;
+      st_live = Array.make (cfg.cl_devices + 1) host;
+      st_n_live = 0;
+      st_rounds = 0;
+      st_retired_events = 0;
     }
   in
   (* Initial placement: tenants in declaration order onto the least
@@ -991,6 +1010,12 @@ let mk_report st ~duration_ps =
              match dv.dv_tracer with
              | Some tr -> Some (Printf.sprintf "dev%d" dv.dv_slot, tr)
              | None -> None);
+    c_rounds = st.st_rounds;
+    c_events =
+      Array.fold_left
+        (fun a dv -> a + Desim.Engine.fired (dev_engine dv))
+        (st.st_retired_events + Desim.Engine.fired st.st_host)
+        st.st_devices;
   }
 
 (* One traffic phase from the current cluster time: re-arm the heartbeat
@@ -1213,6 +1238,20 @@ let render r =
 (* ------------------------------------------------------------------ *)
 (* Degradation curve                                                  *)
 (* ------------------------------------------------------------------ *)
+
+let demo_tenants ~rate_rps =
+  [
+    Tenant.make ~name:"gold" ~weight:3.0 ~clients:4 ~slo_ps:400_000_000
+      ~deadline_ps:900_000_000
+      ~mix:[ Mix.memcpy ~bytes:(8 * 1024) () ]
+      ~load:(Tenant.open_loop ~rate_rps:(rate_rps /. 4.) ())
+      ();
+    Tenant.make ~name:"bronze" ~weight:1.0 ~clients:2 ~slo_ps:500_000_000
+      ~deadline_ps:900_000_000
+      ~mix:[ Mix.vecadd ~bytes:(4 * 1024) () ]
+      ~load:(Tenant.Closed_loop { think_ps = 30_000_000 })
+      ();
+  ]
 
 type loss_point = {
   lp_devices : int;

@@ -147,6 +147,10 @@ type report = {
   c_device_tracers : (string * Trace.t) list;
       (** per-device tracers (current generation) when the run was
           traced; every track is prefixed ["devN/"] *)
+  c_rounds : int;  (** lockstep coordinator rounds driven so far *)
+  c_events : int;
+      (** engine events fired so far: host, every device, and every
+          rebooted-away device generation *)
 }
 
 val run :
@@ -242,6 +246,11 @@ val render : report -> string
 (** The cluster SLO report: per-device health timeline and utilization,
     per-tenant counters with the shed-reason breakdown, re-shard and
     replay ledger, and the four-phase latency quantiles. *)
+
+val demo_tenants : rate_rps:float -> Serve.Tenant.t list
+(** The two-tenant fleet workload of the [cluster] subcommand: an
+    open-loop memcpy tenant ("gold", weight 3, [rate_rps / 4]) and a
+    closed-loop vecadd tenant ("bronze", weight 1). *)
 
 (** {1 Degradation curve} *)
 

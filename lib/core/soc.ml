@@ -86,7 +86,9 @@ and writer_txn = {
   mutable wt_remaining_bytes : int;
   mutable wt_in_flight : int;
   mutable wt_next_push_time : int;
-  wt_waiting_push : (unit -> unit) Queue.t;
+  wt_waiting_push : (unit -> unit) Queue.t; (* on_accept of blocked pushes *)
+  wt_accepting : (unit -> unit) Queue.t; (* on_accept of admitted items *)
+  wt_accept : unit -> unit; (* the one action of every admit event *)
   wt_on_done : unit -> unit;
   mutable wt_bursts_outstanding : int;
   mutable wt_all_issued : bool;
@@ -139,18 +141,20 @@ let coherence_ps t =
 
 (* Every injected AXI error is resolved exactly once: [Recovered] when a
    retry eventually succeeds, [Unrecovered] when the retry budget runs
-   out. [n] failed attempts resolve together. *)
-let fault_resolve t ~cls ~n ~recovered ~site =
+   out. [n] failed attempts resolve together. The ledger site ("<port>
+   <what>@0x<addr>") is formatted only when there is an entry to log. *)
+let fault_resolve t ~cls ~n ~recovered ~port ~what ~addr =
   match t.fault with
-  | None -> ()
-  | Some inj ->
+  | Some inj when n > 0 ->
       let kind =
         if recovered then Fault.Log.Recovered else Fault.Log.Unrecovered
       in
       let now = Desim.Engine.now t.engine in
+      let site = Printf.sprintf "%s %s@0x%x" port what addr in
       for _ = 1 to n do
         Fault.Injector.log inj ~now ~cls ~kind ~site
       done
+  | _ -> ()
 
 let axi_retry_budget t = t.policy.Fault.Policy.axi_max_retries
 
@@ -187,8 +191,9 @@ module Reader = struct
 
   (* Open a span covering one reader/writer stream, parented under the
      owning core's in-flight execution span; returns an [on_done] wrapper
-     that closes it. *)
-  let stream_span soc ~track ~parent ~hop_ps ~cat ~name ~on_done =
+     that closes it. The span is named "<what> 0x<addr> <bytes>B", formatted
+     only when there is a tracer. *)
+  let stream_span soc ~track ~parent ~hop_ps ~cat ~what ~addr ~bytes ~on_done =
     match soc.tracer with
     | None -> (None, on_done)
     | Some tr ->
@@ -200,7 +205,9 @@ module Reader = struct
         let sp =
           Trace.begin_span tr
             ~now:(Desim.Engine.now soc.engine)
-            ?parent:(parent ()) ~track ~cat ~name ()
+            ?parent:(parent ()) ~track ~cat
+            ~name:(Printf.sprintf "%s 0x%x %dB" what addr bytes)
+            ()
         in
         ( Some sp,
           fun () ->
@@ -222,8 +229,7 @@ module Reader = struct
     let span, on_done =
       stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent
         ~hop_ps:r.r_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "rd.stream 0x%x %dB" addr bytes)
-        ~on_done
+        ~what:"rd.stream" ~addr ~bytes ~on_done
     in
     let items_per_beat = bb / item_bytes in
     let lead_items = addr mod bb / item_bytes in
@@ -266,10 +272,6 @@ module Reader = struct
     and issue_seg si attempt =
       let seg = segs.(si) in
       let id = pick_id r si in
-      let site =
-        Printf.sprintf "%s rd seg@0x%x" r.r_cfg.Config.rc_name
-          seg.Axi.Burst.addr
-      in
       (* request travels through the memory NoC (+ coherence snoop on
          embedded platforms) *)
       Desim.Engine.schedule engine
@@ -288,7 +290,9 @@ module Reader = struct
               match resp with
               | Axi.Resp.Okay ->
                   fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                    ~n:attempt ~recovered:true ~site;
+                    ~n:attempt ~recovered:true
+                    ~port:r.r_cfg.Config.rc_name ~what:"rd seg"
+                    ~addr:seg.Axi.Burst.addr;
                   decr in_flight;
                   try_issue ()
               | Axi.Resp.Slverr | Axi.Resp.Decerr ->
@@ -301,7 +305,9 @@ module Reader = struct
                        keep the stream alive — its beats complete so the
                        pipeline never wedges *)
                     fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
+                      ~n:(attempt + 1) ~recovered:false
+                      ~port:r.r_cfg.Config.rc_name ~what:"rd seg"
+                      ~addr:seg.Axi.Burst.addr;
                     let now = Desim.Engine.now engine in
                     for b = 0 to seg.Axi.Burst.beats - 1 do
                       if beat_time.(seg_base.(si) + b) = max_int then begin
@@ -333,20 +339,23 @@ module Reader = struct
           let now = Desim.Engine.now engine in
           let at = max (max now beat_time.(global_beat)) !next_delivery in
           next_delivery := at + clock_ps;
-          Desim.Engine.schedule_at engine ~time:at (fun () ->
-              delivered := item + 1;
-              on_item ~offset:(item * item_bytes);
-              (* freeing: last item of its beat returns a buffer credit *)
-              if
-                (lead_items + item + 1) mod items_per_beat = 0
-                || item + 1 = n_items
-              then begin
-                incr free_beats;
-                try_issue ()
-              end;
-              step ())
+          Desim.Engine.schedule_at engine ~time:at deliver
         end
       end
+    (* [pumping] stays set from scheduling a delivery until it fires, so
+       at most one delivery per stream is ever pending and the item it
+       carries is always [!delivered]: one closure serves the stream *)
+    and deliver () =
+      let item = !delivered in
+      delivered := item + 1;
+      on_item ~offset:(item * item_bytes);
+      (* freeing: last item of its beat returns a buffer credit *)
+      if (lead_items + item + 1) mod items_per_beat = 0 || item + 1 = n_items
+      then begin
+        incr free_beats;
+        try_issue ()
+      end;
+      step ()
     in
     try_issue ()
 
@@ -373,8 +382,7 @@ module Reader = struct
     let span, on_done =
       stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent
         ~hop_ps:r.r_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "rd.bulk 0x%x %dB" addr bytes)
-        ~on_done
+        ~what:"rd.bulk" ~addr ~bytes ~on_done
     in
     let segs = Array.of_list (segments_for r ~addr ~bytes) in
     let n_segs = Array.length segs in
@@ -393,10 +401,6 @@ module Reader = struct
     and issue_seg si attempt =
       let seg = segs.(si) in
       let id = pick_id r si in
-      let site =
-        Printf.sprintf "%s rd-bulk seg@0x%x" r.r_cfg.Config.rc_name
-          seg.Axi.Burst.addr
-      in
       let finish () =
         decr in_flight;
         incr completed;
@@ -416,7 +420,9 @@ module Reader = struct
               match resp with
               | Axi.Resp.Okay ->
                   fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                    ~n:attempt ~recovered:true ~site;
+                    ~n:attempt ~recovered:true
+                    ~port:r.r_cfg.Config.rc_name ~what:"rd-bulk seg"
+                    ~addr:seg.Axi.Burst.addr;
                   finish ()
               | Axi.Resp.Slverr | Axi.Resp.Decerr ->
                   if attempt < axi_retry_budget r.r_soc then
@@ -425,7 +431,9 @@ module Reader = struct
                       (fun () -> issue_seg si (attempt + 1))
                   else begin
                     fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
+                      ~n:(attempt + 1) ~recovered:false
+                      ~port:r.r_cfg.Config.rc_name ~what:"rd-bulk seg"
+                      ~addr:seg.Axi.Burst.addr;
                     finish ()
                   end))
     in
@@ -486,19 +494,16 @@ module Writer = struct
         txn.wt_bursts_outstanding <- txn.wt_bursts_outstanding + 1;
         if txn.wt_remaining_bytes = 0 then txn.wt_all_issued <- true;
         let id = pick_id w (addr / max 1 (beats * bb)) in
-        let site = Printf.sprintf "%s wr burst@0x%x" w.w_cfg.Config.wc_name addr in
         let complete () =
           txn.wt_in_flight <- txn.wt_in_flight - 1;
           txn.wt_bursts_outstanding <- txn.wt_bursts_outstanding - 1;
           (* the B response frees the buffer space this burst held *)
           txn.wt_buffered <- txn.wt_buffered - burst_items;
-          let rec admit n =
-            if n > 0 then
-              match Queue.take_opt txn.wt_waiting_push with
-              | Some k -> k (); admit (n - 1)
-              | None -> ()
-          in
-          admit burst_items;
+          let n = ref burst_items in
+          while !n > 0 && not (Queue.is_empty txn.wt_waiting_push) do
+            admit w txn (Queue.take txn.wt_waiting_push);
+            decr n
+          done;
           if txn.wt_all_issued && txn.wt_bursts_outstanding = 0 then begin
             w.w_busy <- false;
             w.w_txn <- None;
@@ -512,7 +517,9 @@ module Writer = struct
               match resp with
               | Axi.Resp.Okay ->
                   fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                    ~n:attempt ~recovered:true ~site;
+                    ~n:attempt ~recovered:true
+                    ~port:w.w_cfg.Config.wc_name ~what:"wr burst"
+                    ~addr;
                   complete ()
               | Axi.Resp.Slverr | Axi.Resp.Decerr ->
                   if attempt < axi_retry_budget w.w_soc then
@@ -521,7 +528,9 @@ module Writer = struct
                       (fun () -> attempt_write (attempt + 1))
                   else begin
                     fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
+                      ~n:(attempt + 1) ~recovered:false
+                      ~port:w.w_cfg.Config.wc_name ~what:"wr burst"
+                      ~addr;
                     complete ()
                   end)
         in
@@ -531,6 +540,22 @@ module Writer = struct
         try_ship w txn
       end
     end
+
+  (* Admit one pushed item into the buffer; it is accepted one fabric
+     cycle after the previous one. Admit times never decrease, so the
+     admit events fire in admit order and each takes its [on_accept] from
+     the head of [wt_accepting]: the transaction's single [wt_accept]
+     action serves every item. *)
+  and admit (w : w) txn on_accept =
+    txn.wt_pushed <- txn.wt_pushed + 1;
+    txn.wt_buffered <- txn.wt_buffered + 1;
+    txn.wt_unshipped <- txn.wt_unshipped + 1;
+    let engine = w.w_soc.engine in
+    let at = max (Desim.Engine.now engine) txn.wt_next_push_time in
+    txn.wt_next_push_time <-
+      at + w.w_soc.platform.Platform.Device.fabric_clock_ps;
+    Queue.push on_accept txn.wt_accepting;
+    Desim.Engine.schedule_at engine ~time:at txn.wt_accept
 
   let begin_txn (w : w) ~addr ~bytes ~on_done =
     if w.w_busy then failwith "Writer busy: one transaction at a time";
@@ -543,27 +568,33 @@ module Writer = struct
     let span, on_done =
       Reader.stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent
         ~hop_ps:w.w_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "wr.txn 0x%x %dB" addr bytes)
-        ~on_done
+        ~what:"wr.txn" ~addr ~bytes ~on_done
     in
-    w.w_txn <-
-      Some
-        {
-          wt_span = span;
-          wt_total_items = ((bytes - 1) / item_bytes) + 1;
-          wt_item_bytes = item_bytes;
-          wt_pushed = 0;
-          wt_buffered = 0;
-          wt_unshipped = 0;
-          wt_next_addr = addr0;
-          wt_remaining_bytes = padded;
-          wt_in_flight = 0;
-          wt_next_push_time = 0;
-          wt_waiting_push = Queue.create ();
-          wt_on_done = on_done;
-          wt_bursts_outstanding = 0;
-          wt_all_issued = false;
+    let rec txn =
+      {
+        wt_span = span;
+        wt_total_items = ((bytes - 1) / item_bytes) + 1;
+        wt_item_bytes = item_bytes;
+        wt_pushed = 0;
+        wt_buffered = 0;
+        wt_unshipped = 0;
+        wt_next_addr = addr0;
+        wt_remaining_bytes = padded;
+        wt_in_flight = 0;
+        wt_next_push_time = 0;
+        wt_waiting_push = Queue.create ();
+        wt_accepting = Queue.create ();
+        wt_accept =
+          (fun () ->
+            let on_accept = Queue.take txn.wt_accepting in
+            on_accept ();
+            try_ship w txn);
+        wt_on_done = on_done;
+        wt_bursts_outstanding = 0;
+        wt_all_issued = false;
         }
+    in
+    w.w_txn <- Some txn
 
   let push (w : w) ?item_bytes ~on_accept () =
     match w.w_txn with
@@ -573,23 +604,9 @@ module Writer = struct
         let bb = beat_bytes w in
         let items_per_beat = max 1 (bb / txn.wt_item_bytes) in
         let capacity = w.w_cfg.Config.wc_buffer_beats * items_per_beat in
-        let engine = w.w_soc.engine in
-        let clock_ps = w.w_soc.platform.Platform.Device.fabric_clock_ps in
-        let admit () =
-          txn.wt_pushed <- txn.wt_pushed + 1;
-          txn.wt_buffered <- txn.wt_buffered + 1;
-          txn.wt_unshipped <- txn.wt_unshipped + 1;
-          let at =
-            max (Desim.Engine.now engine) txn.wt_next_push_time
-          in
-          txn.wt_next_push_time <- at + clock_ps;
-          Desim.Engine.schedule_at engine ~time:at (fun () ->
-              on_accept ();
-              try_ship w txn)
-        in
         if txn.wt_buffered < capacity && Queue.is_empty txn.wt_waiting_push
-        then admit ()
-        else Queue.push admit txn.wt_waiting_push
+        then admit w txn on_accept
+        else Queue.push on_accept txn.wt_waiting_push
 
   let bulk (w : w) ~addr ~bytes ~on_done =
     if w.w_busy then failwith "Writer busy: one transaction at a time";
@@ -598,8 +615,7 @@ module Writer = struct
     let span, on_done =
       Reader.stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent
         ~hop_ps:w.w_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "wr.bulk 0x%x %dB" addr bytes)
-        ~on_done
+        ~what:"wr.bulk" ~addr ~bytes ~on_done
     in
     let prm = Axi.params w.w_axi in
     let bb = prm.Axi.Params.data_bytes in
@@ -631,10 +647,6 @@ module Writer = struct
     and issue_seg si attempt =
       let seg = segs.(si) in
       let id = pick_id w si in
-      let site =
-        Printf.sprintf "%s wr-bulk seg@0x%x" w.w_cfg.Config.wc_name
-          seg.Axi.Burst.addr
-      in
       let finish () =
         decr in_flight;
         incr completed;
@@ -652,7 +664,9 @@ module Writer = struct
               match resp with
               | Axi.Resp.Okay ->
                   fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                    ~n:attempt ~recovered:true ~site;
+                    ~n:attempt ~recovered:true
+                    ~port:w.w_cfg.Config.wc_name ~what:"wr-bulk seg"
+                    ~addr:seg.Axi.Burst.addr;
                   finish ()
               | Axi.Resp.Slverr | Axi.Resp.Decerr ->
                   if attempt < axi_retry_budget w.w_soc then
@@ -661,7 +675,9 @@ module Writer = struct
                       (fun () -> issue_seg si (attempt + 1))
                   else begin
                     fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
+                      ~n:(attempt + 1) ~recovered:false
+                      ~port:w.w_cfg.Config.wc_name ~what:"wr-bulk seg"
+                      ~addr:seg.Axi.Burst.addr;
                     finish ()
                   end))
     in

@@ -6,12 +6,16 @@ type t = {
   mutable size : int;
   mutable clock : int;
   mutable next_seq : int;
+  mutable fired : int;  (* events fired over the engine's lifetime *)
 }
 
 let dummy = { time = 0; seq = 0; action = ignore }
-let create () = { heap = Array.make 64 dummy; size = 0; clock = 0; next_seq = 0 }
+let create () =
+  { heap = Array.make 64 dummy; size = 0; clock = 0; next_seq = 0; fired = 0 }
+
 let now t = t.clock
 let pending t = t.size
+let fired t = t.fired
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -69,14 +73,18 @@ let schedule t ~delay action =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock + delay) action
 
-let next_time t = if t.size = 0 then None else Some t.heap.(0).time
+let peek_time t = if t.size = 0 then max_int else t.heap.(0).time
+
+let fire_next t =
+  let ev = pop t in
+  if ev.time > t.clock then t.clock <- ev.time;
+  t.fired <- t.fired + 1;
+  ev.action ()
 
 let step t =
   if t.size = 0 then false
   else begin
-    let ev = pop t in
-    t.clock <- max t.clock ev.time;
-    ev.action ();
+    fire_next t;
     true
   end
 
@@ -92,35 +100,28 @@ let () =
              fired pending clock)
     | _ -> None)
 
-let run ?until ?max_events t =
+(* The one run loop: fire every event due at or before [until]. The
+   budget is checked only once an event is known to be due, so a queue
+   that drains in exactly [max_events] events is not a livelock. [fired]
+   never escapes, so it stays an unboxed local and the loop allocates
+   nothing of its own. *)
+let fire_due t ~until ~max_events =
   let fired = ref 0 in
-  let guard () =
-    match max_events with
-    | Some limit when !fired >= limit ->
-        raise (Livelock { fired = !fired; pending = t.size; clock = t.clock })
-    | _ -> ()
-  in
+  while t.size > 0 && t.heap.(0).time <= until do
+    if !fired >= max_events then
+      raise (Livelock { fired = !fired; pending = t.size; clock = t.clock });
+    fire_next t;
+    incr fired
+  done
+
+let run_until t ~until ~max_events =
+  fire_due t ~until ~max_events;
+  if until > t.clock then t.clock <- until
+
+let run ?until ?(max_events = max_int) t =
   match until with
-  | None ->
-      while
-        guard ();
-        step t
-      do
-        incr fired
-      done
-  | Some limit ->
-      let continue = ref true in
-      while !continue do
-        if t.size = 0 || t.heap.(0).time > limit then begin
-          t.clock <- max t.clock limit;
-          continue := false
-        end
-        else begin
-          guard ();
-          ignore (step t);
-          incr fired
-        end
-      done
+  | Some until -> run_until t ~until ~max_events
+  | None -> fire_due t ~until:max_int ~max_events
 
 let drain_or_fail ?(max_events = 10_000_000) t =
   try run ~max_events t

@@ -21,8 +21,15 @@ exception Livelock of { fired : int; pending : int; clock : int }
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** Drain the event queue. With [until], stop once the next event would fire
     after [until] (the clock is left at [until]). With [max_events], raise
-    {!Livelock} once that many events have fired without the queue draining
-    — the guard that keeps a fault campaign from wedging the simulator. *)
+    {!Livelock} when an event is still due after that many have fired — the
+    guard that keeps a fault campaign from wedging the simulator. A queue
+    that drains in exactly [max_events] events returns normally. *)
+
+val run_until : t -> until:int -> max_events:int -> unit
+(** [run ~until ~max_events] without optional arguments: the entry point
+    for callers that advance an engine once per coordinator round, where
+    the [Some] boxes of the optional form would be allocated every call.
+    [run] delegates here, so both share one loop. *)
 
 val drain_or_fail : ?max_events:int -> t -> unit
 (** [run] with a default 10M-event budget that converts {!Livelock} into
@@ -32,10 +39,15 @@ val drain_or_fail : ?max_events:int -> t -> unit
 val step : t -> bool
 (** Fire the single next event. Returns [false] when the queue is empty. *)
 
-val next_time : t -> int option
-(** Timestamp of the next queued event, [None] when the queue is empty —
+val peek_time : t -> int
+(** Timestamp of the next queued event, [max_int] when the queue is empty —
     the lookahead a conservative multi-engine coordinator (one engine per
-    simulated device) needs to pick which engine fires next. *)
+    simulated device) needs to pick which engine fires next. Returns an
+    unboxed [int], so polling it every round allocates nothing. *)
 
 val pending : t -> int
 (** Number of queued events. *)
+
+val fired : t -> int
+(** Number of events fired over the engine's lifetime, by {!step} and
+    {!run} alike. *)

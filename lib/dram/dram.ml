@@ -187,19 +187,25 @@ let submit t ~addr ~bytes ~dir ?on_chunk ~on_complete ?span () =
   and conflicts0 = t.bank_conflicts in
   (* Bursts of one request target sequential addresses; schedule them all
      now — the per-channel bus and per-bank state serialize them in time.
-     Within a request, completions are forced monotone so [on_chunk] fires
-     in order. *)
+     Within a request, completions are forced monotone and scheduled in
+     chunk order, so they fire in chunk order: one closure per request
+     walks the chunks with a counter instead of one closure per chunk. *)
+  let next_chunk = ref 0 in
+  let complete_chunk () =
+    let chunk = !next_chunk in
+    next_chunk := chunk + 1;
+    (match t.burst_hook with
+    | Some f -> f ~addr:(addr + (chunk * chunk_size)) ~bytes:chunk_size ~dir
+    | None -> ());
+    (match on_chunk with Some f -> f ~chunk | None -> ());
+    if chunk = n_chunks - 1 then on_complete ()
+  in
   let last_end = ref 0 in
   for chunk = 0 to n_chunks - 1 do
     let chunk_addr = addr + (chunk * chunk_size) in
     let data_end = max (schedule_burst t ~addr:chunk_addr ~dir) !last_end in
     last_end := data_end;
-    Desim.Engine.schedule_at t.engine ~time:data_end (fun () ->
-        (match t.burst_hook with
-        | Some f -> f ~addr:chunk_addr ~bytes:chunk_size ~dir
-        | None -> ());
-        (match on_chunk with Some f -> f ~chunk | None -> ());
-        if chunk = n_chunks - 1 then on_complete ())
+    Desim.Engine.schedule_at t.engine ~time:data_end complete_chunk
   done;
   (* All bank/bus timing resolved synchronously above, so the trace span
      for the whole request can be recorded here with its final end time

@@ -1064,7 +1064,8 @@ module Session = struct
     s.se_phases <- s.se_phases + 1
 
   let advance s ~until =
-    Desim.Engine.run ~until ~max_events:s.se_cfg.c_max_events s.se_engine
+    Desim.Engine.run_until s.se_engine ~until
+      ~max_events:s.se_cfg.c_max_events
 
   let sleep s ~delta_ps =
     if delta_ps < 0 then invalid_arg "Serve.Session.sleep: negative delta";

@@ -98,6 +98,36 @@ let test_drain_or_fail_clean () =
   E.drain_or_fail e;
   check_int "clean drain fires everything" 5 !hits
 
+let test_exact_budget () =
+  (* a queue that drains in exactly [max_events] events is not a
+     livelock, through every entry point *)
+  let five () =
+    let e = E.create () in
+    let hits = ref 0 in
+    for _ = 1 to 5 do
+      E.schedule e ~delay:3 (fun () -> incr hits)
+    done;
+    (e, hits)
+  in
+  let e, hits = five () in
+  E.run ~max_events:5 e;
+  check_int "run drains" 5 !hits;
+  let e, hits = five () in
+  E.drain_or_fail ~max_events:5 e;
+  check_int "drain_or_fail drains" 5 !hits;
+  let e, hits = five () in
+  E.run_until e ~until:3 ~max_events:5;
+  check_int "run_until drains" 5 !hits;
+  check_int "fired counts every event" 5 (E.fired e);
+  (* one event over the budget still trips the guard *)
+  let e, _ = five () in
+  E.schedule e ~delay:4 ignore;
+  match E.run ~max_events:5 e with
+  | () -> Alcotest.fail "expected Livelock"
+  | exception E.Livelock { fired; pending; _ } ->
+      check_int "fired the budget" 5 fired;
+      check_int "one still pending" 1 pending
+
 let test_heap_stress () =
   (* Push events with pseudo-random times, check they fire sorted. *)
   let e = E.create () in
@@ -249,8 +279,106 @@ let test_quantiles () =
 let prop name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:100 ~name arb f)
 
+(* Event-heap order against a sorted-list reference. Every event gets a
+   label in scheduling order, which is the engine's sequence order; a
+   [Schedule] event may schedule one child when it fires. One engine is
+   driven with [run_until], a twin with [run ~until]; after every op both
+   must have fired exactly the reference's (time, label) sequence, and
+   agree with it on [peek_time] and the clock. *)
+type heap_op = Schedule of int * int option | Step | Until of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map2
+            (fun d c -> Schedule (d, c))
+            (int_bound 50)
+            (opt ~ratio:0.3 (int_bound 20)) );
+        (2, return Step);
+        (2, map (fun d -> Until (d - 10)) (int_bound 60));
+      ])
+
+let heap_op_print = function
+  | Schedule (d, c) ->
+      Printf.sprintf "Schedule (%d, %s)" d
+        (match c with Some c -> string_of_int c | None -> "-")
+  | Step -> "Step"
+  | Until d -> Printf.sprintf "Until %d" d
+
+type twin = { eng : E.t; mutable fired_log : (int * int) list; mutable label : int }
+
+let rec twin_schedule tw ~time child =
+  let label = tw.label in
+  tw.label <- label + 1;
+  E.schedule_at tw.eng ~time (fun () ->
+      tw.fired_log <- (time, label) :: tw.fired_log;
+      Option.iter
+        (fun c -> twin_schedule tw ~time:(E.now tw.eng + c) None)
+        child)
+
+let heap_order_matches ops =
+  (* reference: pending (time, label, child), sorted by (time, label) *)
+  let pending = ref [] and clock = ref 0 and label = ref 0 in
+  let expected = ref [] in
+  let insert time child =
+    pending := List.merge compare [ (time, !label, child) ] !pending;
+    incr label
+  in
+  let fire () =
+    match !pending with
+    | [] -> ()
+    | (time, l, child) :: rest ->
+        pending := rest;
+        clock := max !clock time;
+        expected := (time, l) :: !expected;
+        Option.iter (fun c -> insert (!clock + c) None) child
+  in
+  let peek () = match !pending with (t, _, _) :: _ -> t | [] -> max_int in
+  let mk () = { eng = E.create (); fired_log = []; label = 0 } in
+  let a = mk () and b = mk () in
+  List.for_all
+    (fun op ->
+      let stepped_ok =
+        match op with
+        | Schedule (d, child) ->
+            let time = !clock + d in
+            twin_schedule a ~time child;
+            twin_schedule b ~time child;
+            insert time child;
+            true
+        | Step ->
+            let due = peek () < max_int in
+            fire ();
+            let sa = E.step a.eng in
+            let sb = E.step b.eng in
+            sa = due && sb = due
+        | Until d ->
+            let until = !clock + d in
+            E.run_until a.eng ~until ~max_events:max_int;
+            E.run ~until b.eng;
+            while peek () <= until do
+              fire ()
+            done;
+            clock := max !clock until;
+            true
+      in
+      stepped_ok
+      && List.for_all
+           (fun tw ->
+             E.peek_time tw.eng = peek ()
+             && E.now tw.eng = !clock
+             && tw.fired_log = !expected)
+           [ a; b ])
+    ops
+
 let props =
   [
+    prop "heap fires in (time, seq) order; peek/run_until agree"
+      (QCheck.make ~print:QCheck.Print.(list heap_op_print)
+         QCheck.Gen.(list_size (1 -- 120) heap_op_gen))
+      heap_order_matches;
     prop "events always fire in nondecreasing time order"
       QCheck.(list_of_size Gen.(1 -- 200) (int_bound 1000))
       (fun delays ->
@@ -295,6 +423,7 @@ let () =
           Alcotest.test_case "livelock guard" `Quick test_livelock_guard;
           Alcotest.test_case "drain_or_fail clean" `Quick
             test_drain_or_fail_clean;
+          Alcotest.test_case "exact budget drains" `Quick test_exact_budget;
           Alcotest.test_case "heap stress" `Quick test_heap_stress;
         ] );
       ( "channel",
