@@ -875,6 +875,75 @@ let lockstep () =
          per_round lockstep_bound_words_per_round)
 
 (* ------------------------------------------------------------------ *)
+(* rtl-cycle: host cost of one simulated RTL cycle. The A3 netlist     *)
+(* runs two queries inside the composed SoC on aws_f1 (Hw.Compile      *)
+(* behind the Rtl_core bridge) once to warm caches, then three more    *)
+(* times: host ns (median, CPU time) and minor words per simulated     *)
+(* cycle, cycles being the attend command's wall_ps / fabric_clock_ps. *)
+(* Both are archived to BENCH_rtlcycle.json next to the figures of the *)
+(* four-settles-per-cycle bridge; the run fails if words per cycle     *)
+(* exceed the bound. Words repeat exactly, so the bound does not       *)
+(* depend on host load.                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The same experiment before each cycle settled once (eager settle at
+   the end of every step, every input drive unsettling the netlist, one
+   settle per scratchpad port, a boxed part per byte of every wide
+   concat), on an Intel Xeon (2 vCPU) host: (cycles, ns per cycle, minor
+   words per cycle). Cycles are the simulation's, so they match below. *)
+let rtlcycle_baseline = (7_583, 100_327., 8_311.9)
+
+(* about three times the one-settle bridge, a quarter of the old one *)
+let rtlcycle_bound_words_per_cycle = 2048.
+
+let rtl_cycle () =
+  header "rtl-cycle"
+    "Host ns and minor words per simulated RTL cycle, A3 netlist in the\n\
+     composed SoC (2 queries, aws_f1), against the four-settle bridge";
+  let run () = Attention.A3_rtl_core.run ~n_queries:2 ~platform:D.aws_f1 () in
+  ignore (run ());
+  let timed () =
+    let w0 = Gc.minor_words () and t0 = Sys.time () in
+    let r = run () in
+    let dt = Sys.time () -. t0 in
+    if not r.Attention.A3_rtl_core.verified then
+      failwith "rtl-cycle: A3 netlist outputs are not bit-exact";
+    (r.Attention.A3_rtl_core.wall_ps, dt, Gc.minor_words () -. w0)
+  in
+  let runs = List.init 3 (fun _ -> timed ()) in
+  let wall_ps, _, words = List.hd runs in
+  let cycles = wall_ps / D.aws_f1.D.fabric_clock_ps in
+  let ns =
+    List.nth (List.sort compare (List.map (fun (_, dt, _) -> dt) runs)) 1
+    *. 1e9 /. float_of_int cycles
+  in
+  let now = (cycles, ns, words /. float_of_int cycles) in
+  Printf.printf "  %-10s %10s %12s %16s\n" "bridge" "cycles" "ns/cycle"
+    "words/cycle";
+  let print name (cycles, ns, per_cycle) =
+    Printf.printf "  %-10s %10d %12.0f %16.1f\n" name cycles ns per_cycle
+  in
+  print "baseline" rtlcycle_baseline;
+  print "current" now;
+  let json (cycles, ns, per_cycle) =
+    Printf.sprintf
+      "{\"cycles\":%d,\"ns_per_cycle\":%.0f,\"words_per_cycle\":%.1f}"
+      cycles ns per_cycle
+  in
+  let oc = open_out "BENCH_rtlcycle.json" in
+  Printf.fprintf oc
+    "{\"experiment\":\"rtl-cycle\",\"design\":\"a3-rtl\",\"n_queries\":2,\"platform\":\"aws-f1\",\"bound_words_per_cycle\":%.1f,\"current\":%s,\"baseline\":%s}\n"
+    rtlcycle_bound_words_per_cycle (json now) (json rtlcycle_baseline);
+  close_out oc;
+  Printf.printf "  archived to BENCH_rtlcycle.json\n";
+  let _, _, per_cycle = now in
+  if per_cycle > rtlcycle_bound_words_per_cycle then
+    failwith
+      (Printf.sprintf
+         "rtl-cycle: %.1f minor words per simulated cycle (bound %.1f)"
+         per_cycle rtlcycle_bound_words_per_cycle)
+
+(* ------------------------------------------------------------------ *)
 (* tune: the closed-loop autotuner. The Pareto front and the           *)
 (* elaboration-cache hit/miss counts are archived to BENCH_tune.json;  *)
 (* the run fails unless the final incumbent dominates the conservative *)
@@ -1000,6 +1069,7 @@ let experiments =
     ("sim-speed", sim_speed);
     ("soc-boot", soc_boot);
     ("lockstep", lockstep);
+    ("rtl-cycle", rtl_cycle);
     ("tune", tune);
   ]
 

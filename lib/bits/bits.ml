@@ -394,6 +394,33 @@ let concat_list parts =
     parts;
   canonicalize r
 
+(* the ints' counterpart of [concat_list], for callers that keep their
+   parts unboxed: one allocation, the result *)
+let concat_ints ~widths values =
+  let k = Array.length widths in
+  if Array.length values <> k then
+    invalid_arg "Bits.concat_ints: widths and values differ in length";
+  let total = ref 0 in
+  for i = 0 to k - 1 do
+    let w = widths.(i) in
+    if w < 0 || w > 62 then
+      invalid_arg "Bits.concat_ints: width must be in [0, 62]";
+    total := !total + w
+  done;
+  let r = make !total in
+  let pos = ref !total in
+  for i = 0 to k - 1 do
+    let w = widths.(i) in
+    pos := !pos - w;
+    let v = values.(i) land (if w >= 62 then max_int else (1 lsl w) - 1) in
+    let b = ref 0 in
+    while !b < w do
+      or_window r.limbs (!pos + !b) ((v lsr !b) land limb_mask);
+      b := !b + limb_bits
+    done
+  done;
+  r
+
 let sext t w =
   if w <= t.width then resize t w
   else begin

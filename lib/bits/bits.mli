@@ -104,6 +104,14 @@ val concat : t -> t -> t
 val concat_list : t list -> t
 (** [concat_list [a; b; c]] = [concat a (concat b c)]. *)
 
+val concat_ints : widths:int array -> int array -> t
+(** [concat_ints ~widths values] is [concat_list] of
+    [of_int ~width:widths.(i) values.(i)] for each [i] (head = most
+    significant), built in a single allocation without boxing the parts.
+    Each value contributes its low [widths.(i)] bits. Raises
+    [Invalid_argument] when the arrays differ in length or a width is
+    outside [0, 62]. *)
+
 val resize : t -> int -> t
 (** Zero-extend or truncate to the given width. *)
 

@@ -2,10 +2,25 @@
    the transaction-level SoC: the composer-generated glue a Beethoven
    user never writes by hand. *)
 
-let bits_of_mem soc addr n_bytes =
-  Bits.concat_list
-    (List.init n_bytes (fun i ->
-         Bits.of_int ~width:8 (Soc.read_u8 soc (addr + (n_bytes - 1 - i)))))
+(* Device memory or a scratchpad row as one bitvector: the bytes go
+   into [buf] most-significant first and [Bits.concat_ints] packs them,
+   so the only allocation is the result. [widths] holds one 8 per entry
+   of [buf]. *)
+let bits_of_mem soc ~widths buf addr =
+  let n = Array.length buf in
+  for i = 0 to n - 1 do
+    buf.(i) <- Soc.read_u8 soc (addr + (n - 1 - i))
+  done;
+  Bits.concat_ints ~widths buf
+
+(* zero-extended or truncated to [buf]'s length, as [Bits.resize] *)
+let bits_of_row ~widths buf row =
+  let n = Array.length buf and len = Bytes.length row in
+  for i = 0 to n - 1 do
+    let k = n - 1 - i in
+    buf.(i) <- (if k < len then Char.code (Bytes.get row k) else 0)
+  done;
+  Bits.concat_ints ~widths buf
 
 let mem_of_bits soc addr b =
   let n_bytes = Bits.width b / 8 in
@@ -14,18 +29,42 @@ let mem_of_bits soc addr b =
       (Bits.to_int (Bits.slice b ~hi:((8 * i) + 7) ~lo:(8 * i)))
   done
 
+(* An input the netlist may have constant-folded away: [None] is never
+   driven. Port names are resolved once per core, not per cycle. *)
+type in_port = string option
+
+let drive sim (p : in_port) v =
+  match p with Some name -> Hw.Sim.set_input sim name v | None -> ()
+
+let drive_int sim (p : in_port) v =
+  match p with Some name -> Hw.Sim.set_input_int sim name v | None -> ()
+
 type read_bridge = {
-  rb_chan : Config.read_channel;
   rb_reader : Soc.Reader.r;
   rb_items : int Queue.t; (* offsets whose data has arrived *)
+  rb_req_ready : in_port;
+  rb_data_valid : in_port;
+  rb_data : in_port;
+  rb_req_valid : string;
+  rb_req_addr : string;
+  rb_req_len : string;
+  rb_data_ready : string;
+  rb_widths : int array; (* one 8 per data byte *)
+  rb_buf : int array;
   mutable rb_base : int; (* base address of the active stream *)
   mutable rb_presented : bool; (* data_valid currently asserted *)
   mutable rb_active : bool; (* a stream is in flight *)
 }
 
 type write_bridge = {
-  wb_chan : Config.write_channel;
   wb_writer : Soc.Writer.w;
+  wb_req_ready : in_port;
+  wb_data_ready : in_port;
+  wb_req_valid : string;
+  wb_req_addr : string;
+  wb_req_len : string;
+  wb_data_valid : string;
+  wb_data : string;
   mutable wb_base : int;
   mutable wb_offset : int;
   mutable wb_open : bool; (* a transaction is open *)
@@ -36,11 +75,23 @@ type write_bridge = {
 type spad_bridge = {
   sb_name : string;
   sb_spad : Soc.Scratchpad.sp;
-  sb_row_bits : int;
+  sb_rd_addr : string;
+  sb_rd_data : string;
+  sb_addr_fast : bool; (* rd_addr fits Hw.Sim.output_int *)
+  sb_widths : int array; (* one 8 per row byte *)
+  sb_buf : int array;
+  mutable sb_addr : int; (* the address this cycle's row was read at *)
 }
 
 type core_state = {
   sim : Hw.Sim.t;
+  sys_name : string;
+  core_id : int;
+  req_valid : in_port;
+  req_funct : in_port;
+  req_p1 : in_port;
+  req_p2 : in_port;
+  resp_ready : in_port;
   reads : read_bridge list;
   writes : write_bridge list;
   spads : spad_bridge list;
@@ -114,13 +165,26 @@ let state_of ?backend ~build (ctx : Soc.ctx) =
       let circuit = build () in
       validate circuit ctx.Soc.system;
       let sim = Hw.Sim.create ?backend circuit in
+      let in_port name : in_port =
+        if input_exists circuit name then Some name else None
+      in
+      let bytes_widths n = Array.make n 8 in
       let reads =
         List.map
-          (fun rc ->
+          (fun (rc : Config.read_channel) ->
+            let c = rc.Config.rc_name in
             {
-              rb_chan = rc;
-              rb_reader = Soc.reader ctx rc.Config.rc_name;
+              rb_reader = Soc.reader ctx c;
               rb_items = Queue.create ();
+              rb_req_ready = in_port (c ^ "_req_ready");
+              rb_data_valid = in_port (c ^ "_data_valid");
+              rb_data = in_port (c ^ "_data");
+              rb_req_valid = c ^ "_req_valid";
+              rb_req_addr = c ^ "_req_addr";
+              rb_req_len = c ^ "_req_len";
+              rb_data_ready = c ^ "_data_ready";
+              rb_widths = bytes_widths rc.Config.rc_data_bytes;
+              rb_buf = Array.make rc.Config.rc_data_bytes 0;
               rb_base = 0;
               rb_presented = false;
               rb_active = false;
@@ -129,10 +193,17 @@ let state_of ?backend ~build (ctx : Soc.ctx) =
       in
       let writes =
         List.map
-          (fun wc ->
+          (fun (wc : Config.write_channel) ->
+            let c = wc.Config.wc_name in
             {
-              wb_chan = wc;
-              wb_writer = Soc.writer ctx wc.Config.wc_name;
+              wb_writer = Soc.writer ctx c;
+              wb_req_ready = in_port (c ^ "_req_ready");
+              wb_data_ready = in_port (c ^ "_data_ready");
+              wb_req_valid = c ^ "_req_valid";
+              wb_req_addr = c ^ "_req_addr";
+              wb_req_len = c ^ "_req_len";
+              wb_data_valid = c ^ "_data_valid";
+              wb_data = c ^ "_data";
               wb_base = 0;
               wb_offset = 0;
               wb_open = false;
@@ -146,26 +217,83 @@ let state_of ?backend ~build (ctx : Soc.ctx) =
         List.filter_map
           (fun (sp : Config.scratchpad) ->
             let nm = sp.Config.sp_name in
-            if output_exists circuit (nm ^ "_rd_addr") then begin
-              if not (input_exists circuit (nm ^ "_rd_data")) then
-                failwith
-                  (Printf.sprintf
-                     "Rtl_core: %s_rd_addr without a %s_rd_data input" nm nm);
-              Some
-                {
-                  sb_name = nm;
-                  sb_spad = Soc.scratchpad ctx nm;
-                  sb_row_bits = 8 * ((sp.Config.sp_data_bits + 7) / 8);
-                }
-            end
-            else None)
+            let rd_addr = nm ^ "_rd_addr" and rd_data = nm ^ "_rd_data" in
+            match List.assoc_opt rd_addr (Hw.Circuit.outputs circuit) with
+            | None -> None
+            | Some addr ->
+                if not (input_exists circuit rd_data) then
+                  failwith
+                    (Printf.sprintf
+                       "Rtl_core: %s_rd_addr without a %s_rd_data input" nm nm);
+                let row_bytes = (sp.Config.sp_data_bits + 7) / 8 in
+                Some
+                  {
+                    sb_name = nm;
+                    sb_spad = Soc.scratchpad ctx nm;
+                    sb_rd_addr = rd_addr;
+                    sb_rd_data = rd_data;
+                    sb_addr_fast = Hw.Signal.width addr <= 62;
+                    sb_widths = bytes_widths row_bytes;
+                    sb_buf = Array.make row_bytes 0;
+                    sb_addr = 0;
+                  })
           ctx.Soc.system.Config.scratchpads
       in
-      let st = { sim; reads; writes; spads } in
+      let st =
+        {
+          sim;
+          sys_name = ctx.Soc.system.Config.sys_name;
+          core_id = ctx.Soc.core_id;
+          req_valid = in_port "req_valid";
+          req_funct = in_port "req_funct";
+          req_p1 = in_port "req_p1";
+          req_p2 = in_port "req_p2";
+          resp_ready = in_port "resp_ready";
+          reads;
+          writes;
+          spads;
+        }
+      in
       Hashtbl.add cores key st;
       st
 
 let high sim name = Hw.Sim.output_int sim name = 1
+
+let spad_addr sim sb =
+  if sb.sb_addr_fast then Hw.Sim.output_int sim sb.sb_rd_addr
+  else Bits.to_int_trunc (Hw.Sim.output sim sb.sb_rd_addr)
+
+(* Scratchpad read ports are asynchronous. Every address is read off the
+   settled netlist first, then every row is driven, then one settle
+   propagates the data; an unchanged row leaves the simulator settled
+   and costs nothing. This is sound only while no address depends
+   combinationally on returned data, so each address is read again after
+   the settle, and a netlist that moved one is rejected: its answer would
+   depend on the order the ports were served in. *)
+let serve_scratchpads st =
+  let sim = st.sim in
+  List.iter (fun sb -> sb.sb_addr <- spad_addr sim sb) st.spads;
+  List.iter
+    (fun sb ->
+      let depth = Soc.Scratchpad.depth sb.sb_spad in
+      let row = if sb.sb_addr < depth then sb.sb_addr else 0 in
+      Hw.Sim.set_input sim sb.sb_rd_data
+        (bits_of_row ~widths:sb.sb_widths sb.sb_buf
+           (Soc.Scratchpad.get sb.sb_spad row)))
+    st.spads;
+  Hw.Sim.settle sim;
+  List.iter
+    (fun sb ->
+      let now = spad_addr sim sb in
+      if now <> sb.sb_addr then
+        failwith
+          (Printf.sprintf
+             "Rtl_core: system %s core %d, scratchpad %s: %s moved from %d \
+              to %d once %s was driven; a scratchpad read address must not \
+              depend combinationally on the read data"
+             st.sys_name st.core_id sb.sb_name sb.sb_rd_addr sb.sb_addr now
+             sb.sb_rd_data))
+    st.spads
 
 let behavior ?backend ~build () : Soc.behavior =
  fun ctx beats ~respond ->
@@ -176,82 +304,51 @@ let behavior ?backend ~build () : Soc.behavior =
   let resp_data = ref 0L in
   let responded = ref false in
   let budget = ref 10_000_000 in
-  let set name v = try Hw.Sim.set_input sim name v with Not_found -> () in
-  let set_int name v =
-    try Hw.Sim.set_input_int sim name v with Not_found -> ()
-  in
   let rec cycle () =
     decr budget;
     if !budget <= 0 then
       failwith "Rtl_core: core never responded (cycle budget exhausted)";
-    (* -- drive inputs for this cycle -- *)
+    (* -- drive inputs for this cycle; unchanged values cost nothing -- *)
     (match !pending_beats with
     | beat :: _ ->
-        set_int "req_valid" 1;
-        set_int "req_funct" beat.Rocc.funct;
-        set "req_p1" (Bits.of_int64 ~width:64 beat.Rocc.payload1);
-        set "req_p2" (Bits.of_int64 ~width:64 beat.Rocc.payload2)
-    | [] -> set_int "req_valid" 0);
-    set_int "resp_ready" 1;
+        drive_int sim st.req_valid 1;
+        drive_int sim st.req_funct beat.Rocc.funct;
+        drive sim st.req_p1 (Bits.of_int64 ~width:64 beat.Rocc.payload1);
+        drive sim st.req_p2 (Bits.of_int64 ~width:64 beat.Rocc.payload2)
+    | [] -> drive_int sim st.req_valid 0);
+    drive_int sim st.resp_ready 1;
     List.iter
       (fun rb ->
-        let c = rb.rb_chan.Config.rc_name in
         (* request port accepted only while the Reader is idle; streams
            are serialized per channel like the hardware Reader *)
-        set_int (c ^ "_req_ready") (if rb.rb_active then 0 else 1);
-        match Queue.peek_opt rb.rb_items with
-        | Some offset ->
-            set_int (c ^ "_data_valid") 1;
-            set (c ^ "_data")
-              (bits_of_mem soc (rb.rb_base + offset)
-                 rb.rb_chan.Config.rc_data_bytes);
-            rb.rb_presented <- true
-        | None ->
-            set_int (c ^ "_data_valid") 0;
-            rb.rb_presented <- false)
+        drive_int sim rb.rb_req_ready (if rb.rb_active then 0 else 1);
+        if Queue.is_empty rb.rb_items then begin
+          drive_int sim rb.rb_data_valid 0;
+          rb.rb_presented <- false
+        end
+        else begin
+          drive_int sim rb.rb_data_valid 1;
+          drive sim rb.rb_data
+            (bits_of_mem soc ~widths:rb.rb_widths rb.rb_buf
+               (rb.rb_base + Queue.peek rb.rb_items));
+          rb.rb_presented <- true
+        end)
       st.reads;
     List.iter
       (fun wb ->
-        let c = wb.wb_chan.Config.wc_name in
-        set_int (c ^ "_req_ready") (if wb.wb_open then 0 else 1);
-        set_int (c ^ "_data_ready")
+        drive_int sim wb.wb_req_ready (if wb.wb_open then 0 else 1);
+        drive_int sim wb.wb_data_ready
           (if wb.wb_open && wb.wb_unacked < 4 then 1 else 0))
       st.writes;
     Hw.Sim.settle sim;
-    (* scratchpad read ports are asynchronous: feed each settled address
-       back as data and settle again (addresses must not combinationally
-       depend on the returned data) *)
-    if st.spads <> [] then begin
-      List.iter
-        (fun sb ->
-          let addr =
-            Bits.to_int_trunc (Hw.Sim.output sim (sb.sb_name ^ "_rd_addr"))
-          in
-          let depth = Soc.Scratchpad.depth sb.sb_spad in
-          let row = if addr < depth then addr else 0 in
-          let bytes = Soc.Scratchpad.get sb.sb_spad row in
-          let bits =
-            Bits.concat_list
-              (List.init (Bytes.length bytes) (fun i ->
-                   Bits.of_int ~width:8
-                     (Char.code (Bytes.get bytes (Bytes.length bytes - 1 - i)))))
-          in
-          set (sb.sb_name ^ "_rd_data") (Bits.resize bits sb.sb_row_bits))
-        st.spads;
-      Hw.Sim.settle sim
-    end;
+    if st.spads <> [] then serve_scratchpads st;
     (* -- sample handshakes that fire at this edge -- *)
     let req_fired = high sim "req_ready" && !pending_beats <> [] in
     List.iter
       (fun rb ->
-        let c = rb.rb_chan.Config.rc_name in
-        if (not rb.rb_active) && high sim (c ^ "_req_valid") then begin
-          let addr =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_addr"))
-          in
-          let len =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_len"))
-          in
+        if (not rb.rb_active) && high sim rb.rb_req_valid then begin
+          let addr = Bits.to_int_trunc (Hw.Sim.output sim rb.rb_req_addr) in
+          let len = Bits.to_int_trunc (Hw.Sim.output sim rb.rb_req_len) in
           rb.rb_base <- addr;
           rb.rb_active <- true;
           Soc.Reader.stream rb.rb_reader ~addr ~bytes:len
@@ -259,19 +356,14 @@ let behavior ?backend ~build () : Soc.behavior =
             ~on_done:(fun () -> rb.rb_active <- false)
             ()
         end;
-        if rb.rb_presented && high sim (c ^ "_data_ready") then
+        if rb.rb_presented && high sim rb.rb_data_ready then
           ignore (Queue.pop rb.rb_items))
       st.reads;
     List.iter
       (fun wb ->
-        let c = wb.wb_chan.Config.wc_name in
-        if (not wb.wb_open) && high sim (c ^ "_req_valid") then begin
-          let addr =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_addr"))
-          in
-          let len =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_len"))
-          in
+        if (not wb.wb_open) && high sim wb.wb_req_valid then begin
+          let addr = Bits.to_int_trunc (Hw.Sim.output sim wb.wb_req_addr) in
+          let len = Bits.to_int_trunc (Hw.Sim.output sim wb.wb_req_len) in
           wb.wb_open <- true;
           wb.wb_done <- false;
           wb.wb_base <- addr;
@@ -282,9 +374,9 @@ let behavior ?backend ~build () : Soc.behavior =
               wb.wb_done <- true)
         end
         else if
-          wb.wb_open && wb.wb_unacked < 4 && high sim (c ^ "_data_valid")
+          wb.wb_open && wb.wb_unacked < 4 && high sim wb.wb_data_valid
         then begin
-          let data = Hw.Sim.output sim (c ^ "_data") in
+          let data = Hw.Sim.output sim wb.wb_data in
           mem_of_bits soc (wb.wb_base + wb.wb_offset) data;
           wb.wb_offset <- wb.wb_offset + (Bits.width data / 8);
           wb.wb_unacked <- wb.wb_unacked + 1;

@@ -29,6 +29,19 @@
     - outputs [c_data_valid]:1, [c_data]:8*data_bytes;
       input [c_data_ready]:1.
 
+    Per scratchpad [s] the core reads (optional; both or neither):
+    - output [s_rd_addr] (row index), input [s_rd_data]:8*ceil(data_bits/8)
+      — an asynchronous read port: the row at [s_rd_addr] (row 0 when out
+      of range) is presented in the same cycle.
+    - Contract: no [s_rd_addr] may depend combinationally on any
+      [rd_data]. The bridge reads every address, drives every row, then
+      settles once; it re-reads the addresses after that settle and
+      raises [Failure] naming the system, core and scratchpad if one
+      moved.
+
+    Inputs a netlist does not use may be constant-folded away; the bridge
+    drives only the inputs the circuit has, resolved once per core.
+
     The bridge asserts [resp_ready] permanently and completes the command
     when the core raises [resp_valid] *and* every write transaction it
     opened has received its final write response. *)

@@ -25,7 +25,7 @@ type t = {
   latch : (unit -> unit) array; (* buffer next reg/sync values *)
   commit : (unit -> unit) array; (* mem writes, then reg/sync state *)
   in_slots : (string, int list) Hashtbl.t; (* input name -> its slots *)
-  out_slots : (string * int) list;
+  out_slots : (string, int) Hashtbl.t; (* output name -> its slot *)
   mems : (int, mem_store) Hashtbl.t; (* mem uid -> contents *)
   mutable cycle : int;
   mutable settled : bool;
@@ -178,9 +178,26 @@ let create circuit =
             else emit (fun () -> ivals.(s) <- Bits.extract_int wvals.(a) ~lo ~width:w)
           else emit (fun () -> wvals.(s) <- Bits.slice wvals.(a) ~hi ~lo)
       | Concat _ ->
-          if fast.(s) then (
-            (* head of the list = most-significant bits *)
-            let k = Array.length deps in
+          (* head of the list = most-significant bits *)
+          let k = Array.length deps in
+          let d0 = deps.(0) in
+          if fast.(s) && k > 1 && Array.for_all (( = ) d0) deps then (
+            (* repeat/sext: k copies of one slot. The part is below 2^pw,
+               so the product with the repunit sum_i 2^(i*pw) puts each
+               copy in its own field without carries, and k*pw = w <= 62
+               keeps it inside the int: one multiply, exact. *)
+            let pw = widths.(d0) in
+            let repunit = ref 0 in
+            for i = 0 to k - 1 do
+              repunit := !repunit lor (1 lsl (i * pw))
+            done;
+            let repunit = !repunit in
+            emit (fun () -> ivals.(s) <- ivals.(d0) * repunit))
+          else if fast.(s) && k = 2 then (
+            let d1 = deps.(1) in
+            let sh = widths.(d1) in
+            emit (fun () -> ivals.(s) <- (ivals.(d0) lsl sh) lor ivals.(d1)))
+          else if fast.(s) then (
             let shifts = Array.make k 0 in
             let off = ref 0 in
             for i = k - 1 downto 0 do
@@ -193,6 +210,16 @@ let create circuit =
                   v := !v lor (ivals.(deps.(i)) lsl shifts.(i))
                 done;
                 ivals.(s) <- !v))
+          else if Array.for_all (fun d -> fast.(d)) deps then (
+            (* a wide result of single-word parts: gather the ints into a
+               reused buffer and build the result in one allocation *)
+            let part_widths = Array.map (fun d -> widths.(d)) deps in
+            let parts = Array.make k 0 in
+            emit (fun () ->
+                for i = 0 to k - 1 do
+                  parts.(i) <- ivals.(deps.(i))
+                done;
+                wvals.(s) <- Bits.concat_ints ~widths:part_widths parts))
           else
             let getters = List.map read_bits (Array.to_list deps) in
             emit (fun () ->
@@ -312,6 +339,10 @@ let create circuit =
                 :: !mem_commits)
         (mem_write_ports mm))
     (Circuit.memories circuit);
+  let out_slots = Hashtbl.create 16 in
+  List.iter
+    (fun (name, sg) -> Hashtbl.replace out_slots name (Levelize.slot_of lv sg))
+    (Circuit.outputs circuit);
   {
     lv;
     widths;
@@ -322,24 +353,27 @@ let create circuit =
     latch = Array.of_list (List.rev !latches);
     commit = Array.of_list (List.rev !mem_commits @ List.rev !commits);
     in_slots;
-    out_slots =
-      List.map
-        (fun (name, sg) -> (name, Levelize.slot_of lv sg))
-        (Circuit.outputs circuit);
+    out_slots;
     mems;
     cycle = 0;
     settled = false;
   }
 
+(* The settled values are a function of the inputs, the register and
+   sync-read state and the memory contents; only a changed input, a step
+   or a backdoor write touches those, and each clears [settled]. *)
 let settle t =
-  let p = t.prog in
-  for i = 0 to Array.length p - 1 do
-    p.(i) ()
-  done;
-  t.settled <- true
+  if not t.settled then begin
+    let p = t.prog in
+    for i = 0 to Array.length p - 1 do
+      p.(i) ()
+    done;
+    t.settled <- true
+  end
 
+(* latch and commit on settled values; the next reader re-settles *)
 let step t =
-  if not t.settled then settle t;
+  settle t;
   let l = t.latch in
   for i = 0 to Array.length l - 1 do
     l.(i) ()
@@ -349,49 +383,65 @@ let step t =
     c.(i) ()
   done;
   t.cycle <- t.cycle + 1;
-  t.settled <- false;
-  settle t
+  t.settled <- false
+
+(* store into every slot of one input; an unchanged value keeps the
+   simulator settled *)
+let rec store_int t v = function
+  | [] -> ()
+  | s :: rest ->
+      if t.ivals.(s) <> v then begin
+        t.ivals.(s) <- v;
+        t.settled <- false
+      end;
+      store_int t v rest
+
+let rec store_wide t v = function
+  | [] -> ()
+  | s :: rest ->
+      if not (Bits.equal t.wvals.(s) v) then begin
+        t.wvals.(s) <- v;
+        t.settled <- false
+      end;
+      store_wide t v rest
 
 let set_input t name v =
-  match Hashtbl.find_opt t.in_slots name with
-  | None -> raise Not_found
-  | Some slots ->
-      let w = t.widths.(List.hd slots) in
-      if Bits.width v <> w then
-        invalid_arg
-          (Printf.sprintf "Compile.set_input %s: width %d, expected %d" name
-             (Bits.width v) w);
-      List.iter
-        (fun s ->
-          if t.fast.(s) then t.ivals.(s) <- Bits.to_int_trunc v
-          else t.wvals.(s) <- v)
-        slots;
-      t.settled <- false
+  let slots = Hashtbl.find t.in_slots name in
+  let s0 = List.hd slots in
+  let w = t.widths.(s0) in
+  if Bits.width v <> w then
+    invalid_arg
+      (Printf.sprintf "Compile.set_input %s: width %d, expected %d" name
+         (Bits.width v) w);
+  if t.fast.(s0) then store_int t (Bits.to_int_trunc v) slots
+  else store_wide t v slots
 
 let set_input_int t name v =
-  match Hashtbl.find_opt t.in_slots name with
-  | None -> raise Not_found
-  | Some slots ->
-      set_input t name (Bits.of_int ~width:t.widths.(List.hd slots) v)
+  let slots = Hashtbl.find t.in_slots name in
+  let s0 = List.hd slots in
+  if t.fast.(s0) then begin
+    (* Bits.of_int's validation and masking, without the box *)
+    if v < 0 then invalid_arg "Bits.of_int: negative value";
+    store_int t (v land mask_of t.widths.(s0)) slots
+  end
+  else set_input t name (Bits.of_int ~width:t.widths.(s0) v)
 
 let value_of_slot t s =
   if t.fast.(s) then bits_of_fast ~width:t.widths.(s) t.ivals.(s)
   else t.wvals.(s)
 
 let output t name =
-  if not t.settled then settle t;
-  match List.assoc_opt name t.out_slots with
-  | Some s -> value_of_slot t s
-  | None -> raise Not_found
+  let s = Hashtbl.find t.out_slots name in
+  settle t;
+  value_of_slot t s
 
 let output_int t name =
-  if not t.settled then settle t;
-  match List.assoc_opt name t.out_slots with
-  | Some s -> if t.fast.(s) then t.ivals.(s) else Bits.to_int t.wvals.(s)
-  | None -> raise Not_found
+  let s = Hashtbl.find t.out_slots name in
+  settle t;
+  if t.fast.(s) then t.ivals.(s) else Bits.to_int t.wvals.(s)
 
 let peek t s =
-  if not t.settled then settle t;
+  settle t;
   value_of_slot t (Levelize.slot_of t.lv s)
 
 let cycle t = t.cycle

@@ -28,21 +28,39 @@ val create : Circuit.t -> t
 
 val set_input : t -> string -> Bits.t -> unit
 (** Raises [Not_found] for unknown ports, [Invalid_argument] on width
-    mismatch. Values persist across cycles until overwritten. *)
+    mismatch. Values persist across cycles until overwritten. Driving an
+    input with the value it already holds is a no-op: a settled
+    simulator stays settled. *)
 
 val set_input_int : t -> string -> int -> unit
+(** [set_input t name (Bits.of_int ~width v)] with the port's width, with
+    the same exceptions: [Invalid_argument] for a negative [v], which is
+    otherwise masked to the port width. Allocates nothing for ports of
+    width [<= 62]. *)
+
 val output : t -> string -> Bits.t
+(** Settles first if needed. Raises [Not_found] for unknown ports. *)
+
 val output_int : t -> string -> int
 
 val peek : t -> Signal.t -> Bits.t
-(** Read any signal's settled value (for debugging/tests). Only valid after
-    at least one {!settle} or {!step}. *)
+(** Read any signal's settled value (for debugging/tests), settling first
+    if needed. *)
 
 val settle : t -> unit
-(** Recompute combinational logic without advancing the clock. *)
+(** Recompute combinational logic without advancing the clock. A no-op
+    when nothing changed since the last settle: the settled values are a
+    function of the inputs, the register and sync-read state and the
+    memory contents, and only {!set_input} with a new value, {!step} and
+    {!write_memory} change those. Every reader settles on demand, so an
+    explicit call is never needed for correctness. *)
 
 val step : t -> unit
-(** Settle, then advance one clock edge. *)
+(** Settle if needed, then advance one clock edge: registers and
+    synchronous reads latch, memory writes commit. The combinational
+    logic is left unsettled; the next reader (or {!step}) settles it, so
+    a test bench that re-drives inputs after the edge pays one settle per
+    cycle, not two. *)
 
 val cycle : t -> int
 (** Number of clock edges so far. *)

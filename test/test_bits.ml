@@ -106,6 +106,14 @@ let arb_pair =
     ~print:(fun (w, a, b) -> Printf.sprintf "w=%d a=%d b=%d" w a b)
     gen_pair
 
+(* 0 to 12 parts of width 0..62, values not yet masked to their width *)
+let arb_parts =
+  QCheck.make
+    ~print:(fun ps ->
+      String.concat " "
+        (List.map (fun (w, v) -> Printf.sprintf "%d'%d" w v) ps))
+    QCheck.Gen.(list_size (0 -- 12) (pair (0 -- 62) (0 -- max_int)))
+
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:300 ~name arb f)
 
 let props =
@@ -161,6 +169,13 @@ let props =
     prop "popcount sums over concat" arb_pair (fun (w, a, b) ->
         let ba = Bits.of_int ~width:w a and bb = Bits.of_int ~width:w b in
         Bits.popcount (Bits.concat ba bb) = Bits.popcount ba + Bits.popcount bb);
+    prop "concat_ints = concat_list of the parts" arb_parts (fun parts ->
+        let widths = Array.of_list (List.map fst parts) in
+        let values = Array.of_list (List.map snd parts) in
+        Bits.equal
+          (Bits.concat_ints ~widths values)
+          (Bits.concat_list
+             (List.map (fun (w, v) -> Bits.of_int ~width:w v) parts)));
     prop "signed roundtrip" arb_wv (fun (w, v) ->
         let v = v - (1 lsl (w - 1)) in
         (* may be negative *)

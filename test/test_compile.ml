@@ -329,7 +329,7 @@ let build_mixed ops =
     (fun k (op, i, j) ->
       let x8 = pick p8 i and y8 = pick p8 j in
       let x70 = pick p70 i and y70 = pick p70 j in
-      match op mod 14 with
+      match op mod 18 with
       | 0 -> p8 := !p8 @ [ x8 +: y8 ]
       | 1 -> p70 := !p70 @ [ x70 -: y70 ]
       | 2 -> p8 := !p8 @ [ x8 *: y8 ]
@@ -355,9 +355,27 @@ let build_mixed ops =
                   (x8 |: y8)
                 -- Printf.sprintf "q%d" k;
               ]
-      | _ ->
+      | 13 ->
           p8 := !p8 @ [ uresize (x8 <: y8) 8 ];
-          p70 := !p70 @ [ uresize (x70 ==: y70) 70 ])
+          p70 := !p70 @ [ uresize (x70 ==: y70) 70 ]
+      (* repeat of a 1-bit part, fast and wide (one slot, many parts) *)
+      | 14 ->
+          p8 := !p8 @ [ repeat (bit x8 (j mod 8)) 8 ];
+          p70 := !p70 @ [ repeat (bit y8 (i mod 8)) 70 ]
+      (* repeat of a multi-bit part *)
+      | 15 ->
+          let pw = 1 lsl (1 + (j mod 2)) in
+          p8 := !p8 @ [ repeat (select x8 ~hi:(pw - 1) ~lo:0) (8 / pw) ];
+          p70 := !p70 @ [ select (repeat y8 9) ~hi:69 ~lo:0 ]
+      | 16 ->
+          let hi = j mod 7 in
+          p8 := !p8 @ [ sext (select x8 ~hi ~lo:0) 8 ];
+          p70 := !p70 @ [ sext y8 70 ]
+      (* two-part fast concat *)
+      | _ ->
+          let hi = j mod 7 in
+          p8 :=
+            !p8 @ [ concat [ select x8 ~hi ~lo:0; select y8 ~hi:(6 - hi) ~lo:0 ] ])
     ops;
   let last p = List.nth !p (List.length !p - 1) in
   let wa = select (last p8) ~hi:3 ~lo:0 in
@@ -381,25 +399,54 @@ let random_bits st ~width =
   Bits.concat_list (chunks width)
 
 (* drive both backends with identical random stimulus; compare every
-   output and every memory word on every cycle *)
+   output twice per cycle and every memory word once. Each cycle drives
+   a random subset of the inputs twice, settling and comparing in
+   between without a step: an input is skipped, re-driven with the value
+   it already holds, or given a new random value. *)
 let lockstep ~cycles ~seed circuit =
   let st = Random.State.make [| seed |] in
   let si = Cyclesim.create circuit and sc = Compile.create circuit in
   let ok = ref true in
-  for _ = 1 to cycles do
+  let held = Hashtbl.create 8 in
+  List.iter
+    (fun (n, w) -> Hashtbl.replace held n (Bits.zero w))
+    (Circuit.inputs circuit);
+  let drive () =
     List.iter
       (fun (n, w) ->
-        let v = random_bits st ~width:w in
-        Cyclesim.set_input si n v;
-        Compile.set_input sc n v)
-      (Circuit.inputs circuit);
+        match Random.State.int st 3 with
+        | 0 -> ()
+        | 1 ->
+            let v = Hashtbl.find held n in
+            if w <= 62 then begin
+              Cyclesim.set_input_int si n (Bits.to_int v);
+              Compile.set_input_int sc n (Bits.to_int v)
+            end
+            else begin
+              Cyclesim.set_input si n v;
+              Compile.set_input sc n v
+            end
+        | _ ->
+            let v = random_bits st ~width:w in
+            Hashtbl.replace held n v;
+            Cyclesim.set_input si n v;
+            Compile.set_input sc n v)
+      (Circuit.inputs circuit)
+  in
+  let settle_and_compare () =
     Cyclesim.settle si;
     Compile.settle sc;
     List.iter
       (fun (n, _) ->
         if not (Bits.equal (Cyclesim.output si n) (Compile.output sc n)) then
           ok := false)
-      (Circuit.outputs circuit);
+      (Circuit.outputs circuit)
+  in
+  for _ = 1 to cycles do
+    drive ();
+    settle_and_compare ();
+    drive ();
+    settle_and_compare ();
     List.iter
       (fun m ->
         for a = 0 to mem_size m - 1 do
@@ -417,7 +464,7 @@ let lockstep ~cycles ~seed circuit =
 
 let gen_mixed =
   QCheck.Gen.(
-    pair (list_size (3 -- 30) (triple (0 -- 13) small_nat small_nat)) nat)
+    pair (list_size (3 -- 30) (triple (0 -- 17) small_nat small_nat)) nat)
 
 let prop_lockstep =
   QCheck_alcotest.to_alcotest

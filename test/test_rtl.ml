@@ -221,6 +221,107 @@ let test_rtl_missing_port_rejected () =
      raised := String.length msg > 0);
   check_bool "missing ports rejected with a diagnostic" true !raised
 
+(* ---- the bridge's scratchpad read ports ---- *)
+
+(* One command reads row p1 of scratchpad [a] and row p2 of [b] through
+   their asynchronous read ports and answers {b[31:0], a[31:0]}. With
+   [~feedback:true], a's address is a slice of a's own read data, which
+   breaks the bridge's scratchpad contract. *)
+let spad_cmd =
+  B.Cmd_spec.make ~name:"peek2" ~funct:0 ~response_bits:64
+    [ ("a_row", B.Cmd_spec.Uint 64); ("b_row", B.Cmd_spec.Uint 64) ]
+
+let spad_circuit ~feedback () =
+  let open Hw.Signal in
+  let req_valid = input "req_valid" 1 and resp_ready = input "resp_ready" 1 in
+  let p1 = input "req_p1" 64 and p2 = input "req_p2" 64 in
+  let a_data = input "a_rd_data" 64 and b_data = input "b_rd_data" 64 in
+  let busy = wire 1 in
+  let fire = req_valid &: lnot busy in
+  assign busy (reg (mux2 fire vdd (mux2 resp_ready gnd busy)));
+  let a_row = reg ~enable:fire (select p1 ~hi:3 ~lo:0) in
+  let b_row = reg ~enable:fire (select p2 ~hi:3 ~lo:0) in
+  let a_addr = if feedback then select a_data ~hi:3 ~lo:0 else a_row in
+  Hw.Circuit.create ~name:"two_spad"
+    ~outputs:
+      [
+        ("req_ready", lnot busy);
+        ("resp_valid", busy);
+        ( "resp_data",
+          concat [ select b_data ~hi:31 ~lo:0; select a_data ~hi:31 ~lo:0 ] );
+        ("a_rd_addr", uresize a_addr 16);
+        ("b_rd_addr", uresize b_row 16);
+      ]
+
+let spad_row name r = Int64.of_int ((if name = "a" then 0xA00 else 0xB00) + r + 1)
+
+let run_spad_cores ?backend ~feedback rows =
+  let cfg =
+    B.Config.make ~name:"two_spad"
+      [
+        B.Config.system ~name:"TwoSpad" ~n_cores:1
+          ~scratchpads:
+            (List.map
+               (fun name -> B.Config.scratchpad ~name ~data_bits:64 ~n_datas:16 ())
+               [ "a"; "b" ])
+          ~commands:[ spad_cmd ] ();
+      ]
+  in
+  let rtl =
+    B.Rtl_core.behavior ?backend ~build:(spad_circuit ~feedback) ()
+  in
+  let behavior : B.Soc.behavior =
+   fun ctx beats ~respond ->
+    List.iter
+      (fun name ->
+        let sp = B.Soc.scratchpad ctx name in
+        for r = 0 to 15 do
+          B.Soc.Scratchpad.set_u64 sp r (spad_row name r)
+        done)
+      [ "a"; "b" ];
+    rtl ctx beats ~respond
+  in
+  let soc =
+    B.Soc.create (B.Elaborate.elaborate cfg D.aws_f1) ~behaviors:(fun _ ->
+        behavior)
+  in
+  let handle = Runtime.Handle.create soc in
+  List.map
+    (fun (a, b) ->
+      Runtime.Handle.await handle
+        (Runtime.Handle.send handle ~system:"TwoSpad" ~core:0 ~cmd:spad_cmd
+           ~args:[ ("a_row", Int64.of_int a); ("b_row", Int64.of_int b) ]))
+    rows
+
+let test_rtl_two_scratchpads () =
+  let rows = [ (5, 9); (0, 15); (12, 12) ] in
+  let expect =
+    List.map
+      (fun (a, b) ->
+        Int64.logor (Int64.shift_left (spad_row "b" b) 32) (spad_row "a" a))
+      rows
+  in
+  List.iter
+    (fun backend ->
+      Alcotest.(check (list int64))
+        (Hw.Sim.backend_name backend ^ ": both ports read their rows")
+        expect
+        (run_spad_cores ~backend ~feedback:false rows))
+    [ Hw.Sim.Compiled; Hw.Sim.Interpreter ]
+
+let test_rtl_spad_address_contract () =
+  match run_spad_cores ~feedback:true [ (5, 9) ] with
+  | _ -> Alcotest.fail "an address fed by its own read data must be rejected"
+  | exception Failure msg ->
+      let contains sub =
+        let n = String.length sub and m = String.length msg in
+        let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      List.iter
+        (fun sub -> check_bool ("diagnosis names " ^ sub ^ ": " ^ msg) true (contains sub))
+        [ "system TwoSpad"; "core 0"; "scratchpad a"; "a_rd_addr" ]
+
 (* ---- intercore ports ---- *)
 
 let intercore_config () =
@@ -374,6 +475,10 @@ let () =
             test_rtl_missing_port_rejected;
           Alcotest.test_case "dropped soc collected" `Quick
             test_rtl_core_soc_collected;
+          Alcotest.test_case "two scratchpad ports" `Quick
+            test_rtl_two_scratchpads;
+          Alcotest.test_case "scratchpad address contract" `Quick
+            test_rtl_spad_address_contract;
         ] );
       ( "intercore",
         [
