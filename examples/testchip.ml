@@ -25,7 +25,10 @@ let () =
   let n = 32 in
   let adapter_cmd_funct = 9 in
   let behaviors _ : B.Soc.behavior =
-   fun ctx beats ~respond ->
+   fun ctx ->
+    (* one RTL core instance per core, not per command *)
+    let rtl = Kernels.Vecadd_rtl.behavior ctx in
+    fun beats ~respond ->
     let beat = List.hd beats in
     if beat.B.Rocc.funct = adapter_cmd_funct then begin
       (* unpack the RV32-friendly layout and re-issue to the RTL core *)
@@ -42,9 +45,9 @@ let () =
               (Int64.shift_left (Int64.of_int count) 32);
         }
       in
-      Kernels.Vecadd_rtl.behavior ctx [ rtl_beat ] ~respond
+      rtl [ rtl_beat ] ~respond
     end
-    else Kernels.Vecadd_rtl.behavior ctx beats ~respond
+    else rtl beats ~respond
   in
   let soc = B.Soc.create design ~behaviors in
   for i = 0 to n - 1 do

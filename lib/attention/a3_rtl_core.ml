@@ -239,9 +239,11 @@ let config ?(n_cores = 1) () =
 let rtl_behavior = B.Rtl_core.behavior ~build:circuit ()
 
 (* funct 0 (load_kv) is serviced by the composer's scratchpad machinery;
-   funct 1 enters the netlist *)
+   funct 1 enters the netlist, instantiated once per core *)
 let behavior : B.Soc.behavior =
- fun ctx beats ~respond ->
+ fun ctx ->
+  let rtl = rtl_behavior ctx in
+  fun beats ~respond ->
   match (List.hd beats).B.Rocc.funct with
   | 0 ->
       let args =
@@ -262,7 +264,7 @@ let behavior : B.Soc.behavior =
         ~on_done:arrive ();
       B.Soc.Scratchpad.init_from_memory values_sp ~addr:v_addr ~bytes
         ~on_done:arrive ()
-  | _ -> rtl_behavior ctx beats ~respond
+  | _ -> rtl beats ~respond
 
 type result = {
   verified : bool;

@@ -136,7 +136,7 @@ let behavior : Soc.behavior =
                   Soc.write_u8 soc (out_addr + (qi * row_bytes) + d)
                     (v land 0xff))
                 out;
-              Soc.Writer.push writer ~on_accept:(fun () -> ()) ()))
+              Soc.Writer.push writer ~on_accept:(fun () -> ())))
         ~on_done:(fun () -> ())
         ()
   | f -> failwith (Printf.sprintf "A3: unknown funct %d" f)

@@ -93,9 +93,9 @@ let structure (config : Config.t) =
         in
         let name_dups =
           dup_names ~rule:"drc-name-collision" ~what:"memory channel" ~loc
-            (List.map (fun rc -> rc.Config.rc_name) sys.Config.read_channels
-            @ List.map (fun wc -> wc.Config.wc_name) sys.Config.write_channels
-            )
+            (List.map
+               (fun c -> c.Config.ch_name)
+               (sys.Config.read_channels @ sys.Config.write_channels))
           @ dup_names ~rule:"drc-name-collision" ~what:"scratchpad" ~loc
               (List.map (fun sp -> sp.Config.sp_name) sys.Config.scratchpads)
           @ dup_names ~rule:"drc-name-collision" ~what:"command" ~loc
@@ -186,10 +186,10 @@ let structure (config : Config.t) =
 
 (* memory channel instances a system contributes per core *)
 let mem_channels_per_core (sys : Config.system) =
-  List.fold_left (fun a rc -> a + rc.Config.rc_n_channels) 0
-    sys.Config.read_channels
-  + List.fold_left (fun a wc -> a + wc.Config.wc_n_channels) 0
-      sys.Config.write_channels
+  List.fold_left
+    (fun a c -> a + c.Config.ch_n_channels)
+    0
+    (sys.Config.read_channels @ sys.Config.write_channels)
   + List.length
       (List.filter (fun sp -> sp.Config.sp_init_from_memory)
          sys.Config.scratchpads)
@@ -219,29 +219,17 @@ let axi_capacity (config : Config.t) (p : D.t) =
       (fun sys ->
         let loc = config.Config.acc_name ^ "." ^ sys.Config.sys_name in
         List.filter_map
-          (fun rc ->
-            if rc.Config.rc_use_tlp && rc.Config.rc_max_in_flight > n_ids
-            then
+          (fun (role, c) ->
+            if c.Config.ch_use_tlp && c.Config.ch_max_in_flight > n_ids then
               Some
                 (warn ~loc "drc-axi-capacity"
                    (Printf.sprintf
-                      "reader %S wants %d transactions in flight but the \
+                      "%s %S wants %d transactions in flight but the \
                        platform has %d AXI IDs"
-                      rc.Config.rc_name rc.Config.rc_max_in_flight n_ids))
+                      role c.Config.ch_name c.Config.ch_max_in_flight n_ids))
             else None)
-          sys.Config.read_channels
-        @ List.filter_map
-            (fun wc ->
-              if wc.Config.wc_use_tlp && wc.Config.wc_max_in_flight > n_ids
-              then
-                Some
-                  (warn ~loc "drc-axi-capacity"
-                     (Printf.sprintf
-                        "writer %S wants %d transactions in flight but the \
-                         platform has %d AXI IDs"
-                        wc.Config.wc_name wc.Config.wc_max_in_flight n_ids))
-              else None)
-            sys.Config.write_channels)
+          (List.map (fun c -> ("reader", c)) sys.Config.read_channels
+          @ List.map (fun c -> ("writer", c)) sys.Config.write_channels))
       config.Config.systems
   in
   shared @ tlp_depth

@@ -1,21 +1,13 @@
-type read_channel = {
-  rc_name : string;
-  rc_data_bytes : int;
-  rc_n_channels : int;
-  rc_burst_beats : int;
-  rc_max_in_flight : int;
-  rc_use_tlp : bool;
-  rc_buffer_beats : int;
-}
-
-type write_channel = {
-  wc_name : string;
-  wc_data_bytes : int;
-  wc_n_channels : int;
-  wc_burst_beats : int;
-  wc_max_in_flight : int;
-  wc_use_tlp : bool;
-  wc_buffer_beats : int;
+(* A Reader and a Writer take the same knobs; the list a channel sits
+   in ([read_channels] or [write_channels]) gives its role. *)
+type channel = {
+  ch_name : string;
+  ch_data_bytes : int;
+  ch_n_channels : int;
+  ch_burst_beats : int;
+  ch_max_in_flight : int;
+  ch_use_tlp : bool;
+  ch_buffer_beats : int;
 }
 
 type scratchpad = {
@@ -37,8 +29,8 @@ type intra_core_port = {
 type system = {
   sys_name : string;
   n_cores : int;
-  read_channels : read_channel list;
-  write_channels : write_channel list;
+  read_channels : channel list;
+  write_channels : channel list;
   scratchpads : scratchpad list;
   intra_core_ports : intra_core_port list;
   commands : Cmd_spec.command list;
@@ -50,41 +42,26 @@ type t = { acc_name : string; systems : system list }
 
 let positive what v = if v < 1 then invalid_arg ("Config: " ^ what ^ " must be positive")
 
-let read_channel ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
+let channel role ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
     ?(use_tlp = true) ?(buffer_beats = 256) ~name ~data_bytes () =
   positive "data_bytes" data_bytes;
   positive "n_channels" n_channels;
   positive "burst_beats" burst_beats;
   positive "max_in_flight" max_in_flight;
   if buffer_beats < burst_beats then
-    invalid_arg "Config: reader buffer smaller than one burst";
+    invalid_arg ("Config: " ^ role ^ " buffer smaller than one burst");
   {
-    rc_name = name;
-    rc_data_bytes = data_bytes;
-    rc_n_channels = n_channels;
-    rc_burst_beats = burst_beats;
-    rc_max_in_flight = max_in_flight;
-    rc_use_tlp = use_tlp;
-    rc_buffer_beats = buffer_beats;
+    ch_name = name;
+    ch_data_bytes = data_bytes;
+    ch_n_channels = n_channels;
+    ch_burst_beats = burst_beats;
+    ch_max_in_flight = max_in_flight;
+    ch_use_tlp = use_tlp;
+    ch_buffer_beats = buffer_beats;
   }
 
-let write_channel ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
-    ?(use_tlp = true) ?(buffer_beats = 256) ~name ~data_bytes () =
-  positive "data_bytes" data_bytes;
-  positive "n_channels" n_channels;
-  positive "burst_beats" burst_beats;
-  positive "max_in_flight" max_in_flight;
-  if buffer_beats < burst_beats then
-    invalid_arg "Config: writer buffer smaller than one burst";
-  {
-    wc_name = name;
-    wc_data_bytes = data_bytes;
-    wc_n_channels = n_channels;
-    wc_burst_beats = burst_beats;
-    wc_max_in_flight = max_in_flight;
-    wc_use_tlp = use_tlp;
-    wc_buffer_beats = buffer_beats;
-  }
+let read_channel = channel "reader"
+let write_channel = channel "writer"
 
 let scratchpad ?(n_ports = 1) ?(latency = 1) ?(init_from_memory = false) ~name
     ~data_bits ~n_datas () =
@@ -134,8 +111,7 @@ let make ~name systems =
     (fun s ->
       check_unique
         ("channel in " ^ s.sys_name)
-        (List.map (fun rc -> rc.rc_name) s.read_channels
-        @ List.map (fun wc -> wc.wc_name) s.write_channels);
+        (List.map (fun c -> c.ch_name) (s.read_channels @ s.write_channels));
       check_unique
         ("scratchpad in " ^ s.sys_name)
         (List.map (fun sp -> sp.sp_name) s.scratchpads);

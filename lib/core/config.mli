@@ -7,25 +7,18 @@
     footprint (taken from an {!Hw.Circuit} when the core is written in the
     RTL DSL, or supplied directly for transaction-level core models). *)
 
-type read_channel = {
-  rc_name : string;
-  rc_data_bytes : int;  (** port width the core consumes, e.g. 4 *)
-  rc_n_channels : int;
-  rc_burst_beats : int;  (** AXI beats per emitted transaction *)
-  rc_max_in_flight : int;  (** concurrent transactions (prefetch depth) *)
-  rc_use_tlp : bool;  (** distinct AXI IDs per transaction *)
-  rc_buffer_beats : int;  (** prefetch buffer capacity, AXI beats *)
+type channel = {
+  ch_name : string;
+  ch_data_bytes : int;  (** port width the core consumes, e.g. 4 *)
+  ch_n_channels : int;
+  ch_burst_beats : int;  (** AXI beats per emitted transaction *)
+  ch_max_in_flight : int;  (** concurrent transactions (prefetch depth) *)
+  ch_use_tlp : bool;  (** distinct AXI IDs per transaction *)
+  ch_buffer_beats : int;  (** prefetch/write buffer capacity, AXI beats *)
 }
-
-type write_channel = {
-  wc_name : string;
-  wc_data_bytes : int;
-  wc_n_channels : int;
-  wc_burst_beats : int;
-  wc_max_in_flight : int;
-  wc_use_tlp : bool;
-  wc_buffer_beats : int;
-}
+(** One memory channel: a Reader or a Writer, which take the same knobs.
+    Its role is the list it sits in ([read_channels] or
+    [write_channels]). *)
 
 type scratchpad = {
   sp_name : string;
@@ -46,8 +39,8 @@ type intra_core_port = {
 type system = {
   sys_name : string;
   n_cores : int;
-  read_channels : read_channel list;
-  write_channels : write_channel list;
+  read_channels : channel list;
+  write_channels : channel list;
   scratchpads : scratchpad list;
   intra_core_ports : intra_core_port list;
   commands : Cmd_spec.command list;
@@ -68,7 +61,7 @@ val read_channel :
   name:string ->
   data_bytes:int ->
   unit ->
-  read_channel
+  channel
 (** Defaults: 1 channel, 64-beat bursts, 4 in flight, TLP on, 256-beat
     buffer — the platform tuning the paper describes for the F1 target. *)
 
@@ -81,7 +74,8 @@ val write_channel :
   name:string ->
   data_bytes:int ->
   unit ->
-  write_channel
+  channel
+(** {!read_channel}'s defaults, for a Writer. *)
 
 val scratchpad :
   ?n_ports:int ->
@@ -94,8 +88,8 @@ val scratchpad :
   scratchpad
 
 val system :
-  ?read_channels:read_channel list ->
-  ?write_channels:write_channel list ->
+  ?read_channels:channel list ->
+  ?write_channels:channel list ->
   ?scratchpads:scratchpad list ->
   ?intra_core_ports:intra_core_port list ->
   ?commands:Cmd_spec.command list ->

@@ -27,15 +27,10 @@ let all_cores (config : Config.t) =
 (* Memory channel instances of one core: (channel-name, index). *)
 let mem_channels (sys : Config.system) =
   List.concat_map
-    (fun rc ->
-      List.init rc.Config.rc_n_channels (fun i ->
-          Printf.sprintf "%s[%d]" rc.Config.rc_name i))
-    sys.Config.read_channels
-  @ List.concat_map
-      (fun wc ->
-        List.init wc.Config.wc_n_channels (fun i ->
-            Printf.sprintf "%s[%d]" wc.Config.wc_name i))
-      sys.Config.write_channels
+    (fun c ->
+      List.init c.Config.ch_n_channels (fun i ->
+          Printf.sprintf "%s[%d]" c.Config.ch_name i))
+    (sys.Config.read_channels @ sys.Config.write_channels)
   @ List.filter_map
       (fun sp ->
         if sp.Config.sp_init_from_memory then
@@ -213,20 +208,13 @@ module Cache = struct
     let b = Buffer.create 256 in
     let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     pf "sys:%s;cores:%d;" sys.Config.sys_name sys.Config.n_cores;
-    List.iter
-      (fun (rc : Config.read_channel) ->
-        pf "rd:%s,%d,%d,%d,%d,%b,%d;" rc.Config.rc_name rc.Config.rc_data_bytes
-          rc.Config.rc_n_channels rc.Config.rc_burst_beats
-          rc.Config.rc_max_in_flight rc.Config.rc_use_tlp
-          rc.Config.rc_buffer_beats)
-      sys.Config.read_channels;
-    List.iter
-      (fun (wc : Config.write_channel) ->
-        pf "wr:%s,%d,%d,%d,%d,%b,%d;" wc.Config.wc_name wc.Config.wc_data_bytes
-          wc.Config.wc_n_channels wc.Config.wc_burst_beats
-          wc.Config.wc_max_in_flight wc.Config.wc_use_tlp
-          wc.Config.wc_buffer_beats)
-      sys.Config.write_channels;
+    let channel role (c : Config.channel) =
+      pf "%s:%s,%d,%d,%d,%d,%b,%d;" role c.Config.ch_name
+        c.Config.ch_data_bytes c.Config.ch_n_channels c.Config.ch_burst_beats
+        c.Config.ch_max_in_flight c.Config.ch_use_tlp c.Config.ch_buffer_beats
+    in
+    List.iter (channel "rd") sys.Config.read_channels;
+    List.iter (channel "wr") sys.Config.write_channels;
     List.iter
       (fun (sp : Config.scratchpad) ->
         pf "sp:%s,%d,%d,%d,%d,%b;" sp.Config.sp_name sp.Config.sp_data_bits

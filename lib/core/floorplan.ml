@@ -28,25 +28,16 @@ let memory_requests (sys : Config.system) (p : Platform.Device.t) =
       sys.Config.scratchpads
   in
   let beat_bits = p.Platform.Device.axi.Axi.Params.data_bytes * 8 in
-  let readers =
+  let buffers =
     List.concat_map
-      (fun rc ->
-        List.init rc.Config.rc_n_channels (fun i ->
-            ( Printf.sprintf "%s.buf%d" rc.Config.rc_name i,
+      (fun c ->
+        List.init c.Config.ch_n_channels (fun i ->
+            ( Printf.sprintf "%s.buf%d" c.Config.ch_name i,
               beat_bits,
-              rc.Config.rc_buffer_beats )))
-      sys.Config.read_channels
+              c.Config.ch_buffer_beats )))
+      (sys.Config.read_channels @ sys.Config.write_channels)
   in
-  let writers =
-    List.concat_map
-      (fun wc ->
-        List.init wc.Config.wc_n_channels (fun i ->
-            ( Printf.sprintf "%s.buf%d" wc.Config.wc_name i,
-              beat_bits,
-              wc.Config.wc_buffer_beats )))
-      sys.Config.write_channels
-  in
-  spads @ readers @ writers
+  spads @ buffers
 
 let cells_resource (choice : FM.choice) =
   match choice.FM.cell with

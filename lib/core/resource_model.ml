@@ -20,12 +20,6 @@ let mem_noc_width_bits (p : Platform.Device.t) =
 
 let cmd_noc_width_bits = Rocc.width + 16
 
-let reader_buffer_bits (rc : Config.read_channel) (p : Platform.Device.t) =
-  rc.Config.rc_buffer_beats * p.Platform.Device.axi.Axi.Params.data_bytes * 8
-
-let writer_buffer_bits (wc : Config.write_channel) (p : Platform.Device.t) =
-  wc.Config.wc_buffer_beats * p.Platform.Device.axi.Axi.Params.data_bytes * 8
-
 let circuit_estimate c =
   (* estimate on the folded netlist, as the tool flow would see it *)
   let stats = Hw.Circuit.stats (Hw.Opt.constant_fold c) in
@@ -42,16 +36,13 @@ let core_logic (sys : Config.system) (_p : Platform.Device.t) =
     | Some c when sys.Config.kernel_resources = R.zero -> circuit_estimate c
     | _ -> sys.Config.kernel_resources
   in
-  let readers =
+  let channels base =
     List.fold_left
-      (fun acc rc -> R.add acc (R.scale reader_base rc.Config.rc_n_channels))
-      R.zero sys.Config.read_channels
+      (fun acc c -> R.add acc (R.scale base c.Config.ch_n_channels))
+      R.zero
   in
-  let writers =
-    List.fold_left
-      (fun acc wc -> R.add acc (R.scale writer_base wc.Config.wc_n_channels))
-      R.zero sys.Config.write_channels
-  in
+  let readers = channels reader_base sys.Config.read_channels in
+  let writers = channels writer_base sys.Config.write_channels in
   let spads =
     List.fold_left
       (fun acc sp ->

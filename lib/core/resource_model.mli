@@ -24,9 +24,6 @@ val mem_noc_width_bits : Platform.Device.t -> int
 val cmd_noc_width_bits : int
 (** RoCC command width + routing. *)
 
-val reader_buffer_bits : Config.read_channel -> Platform.Device.t -> int
-val writer_buffer_bits : Config.write_channel -> Platform.Device.t -> int
-
 val circuit_estimate : Hw.Circuit.t -> Platform.Resources.t
 (** Rough LUT/FF estimate for a kernel written in the RTL DSL, from its
     netlist statistics. *)

@@ -122,14 +122,14 @@ let validate circuit (sys : Config.system) =
   List.iter (require_port circuit ~dir:`Out)
     [ "req_ready"; "resp_valid"; "resp_data" ];
   List.iter
-    (fun (rc : Config.read_channel) ->
-      let c = rc.Config.rc_name in
+    (fun (rc : Config.channel) ->
+      let c = rc.Config.ch_name in
       List.iter (require_port circuit ~dir:`Out)
         [ c ^ "_req_valid"; c ^ "_req_addr"; c ^ "_req_len"; c ^ "_data_ready" ])
     sys.Config.read_channels;
   List.iter
-    (fun (wc : Config.write_channel) ->
-      let c = wc.Config.wc_name in
+    (fun (wc : Config.channel) ->
+      let c = wc.Config.ch_name in
       List.iter (require_port circuit ~dir:`Out)
         [
           c ^ "_req_valid"; c ^ "_req_addr"; c ^ "_req_len"; c ^ "_data_valid";
@@ -137,125 +137,98 @@ let validate circuit (sys : Config.system) =
         ])
     sys.Config.write_channels
 
-(* One simulator per (system, core) of each SoC. The table holds its SoC
-   keys weakly (an ephemeron), so a SoC that nothing else references is
-   collected together with its simulators. *)
-module By_soc = Ephemeron.K1.Make (struct
-  type t = Soc.t
-
-  let equal = ( == )
-  let hash = Soc.uid
-end)
-
-let instances : (string * int, core_state) Hashtbl.t By_soc.t = By_soc.create 8
-
-let state_of ?backend ~build (ctx : Soc.ctx) =
-  let cores =
-    match By_soc.find_opt instances ctx.Soc.soc with
-    | Some cores -> cores
-    | None ->
-        let cores = Hashtbl.create 4 in
-        By_soc.replace instances ctx.Soc.soc cores;
-        cores
+(* The bridge state of one core: its simulator and port bindings. *)
+let make_state ?backend ~build (ctx : Soc.ctx) =
+  let circuit = build () in
+  validate circuit ctx.Soc.system;
+  let sim = Hw.Sim.create ?backend circuit in
+  let in_port name : in_port =
+    if input_exists circuit name then Some name else None
   in
-  let key = (ctx.Soc.system.Config.sys_name, ctx.Soc.core_id) in
-  match Hashtbl.find_opt cores key with
-  | Some st -> st
-  | None ->
-      let circuit = build () in
-      validate circuit ctx.Soc.system;
-      let sim = Hw.Sim.create ?backend circuit in
-      let in_port name : in_port =
-        if input_exists circuit name then Some name else None
-      in
-      let bytes_widths n = Array.make n 8 in
-      let reads =
-        List.map
-          (fun (rc : Config.read_channel) ->
-            let c = rc.Config.rc_name in
-            {
-              rb_reader = Soc.reader ctx c;
-              rb_items = Queue.create ();
-              rb_req_ready = in_port (c ^ "_req_ready");
-              rb_data_valid = in_port (c ^ "_data_valid");
-              rb_data = in_port (c ^ "_data");
-              rb_req_valid = c ^ "_req_valid";
-              rb_req_addr = c ^ "_req_addr";
-              rb_req_len = c ^ "_req_len";
-              rb_data_ready = c ^ "_data_ready";
-              rb_widths = bytes_widths rc.Config.rc_data_bytes;
-              rb_buf = Array.make rc.Config.rc_data_bytes 0;
-              rb_base = 0;
-              rb_presented = false;
-              rb_active = false;
-            })
-          ctx.Soc.system.Config.read_channels
-      in
-      let writes =
-        List.map
-          (fun (wc : Config.write_channel) ->
-            let c = wc.Config.wc_name in
-            {
-              wb_writer = Soc.writer ctx c;
-              wb_req_ready = in_port (c ^ "_req_ready");
-              wb_data_ready = in_port (c ^ "_data_ready");
-              wb_req_valid = c ^ "_req_valid";
-              wb_req_addr = c ^ "_req_addr";
-              wb_req_len = c ^ "_req_len";
-              wb_data_valid = c ^ "_data_valid";
-              wb_data = c ^ "_data";
-              wb_base = 0;
-              wb_offset = 0;
-              wb_open = false;
-              wb_done = true;
-              wb_unacked = 0;
-            })
-          ctx.Soc.system.Config.write_channels
-      in
-      (* scratchpads with RTL read ports: <name>_rd_addr / <name>_rd_data *)
-      let spads =
-        List.filter_map
-          (fun (sp : Config.scratchpad) ->
-            let nm = sp.Config.sp_name in
-            let rd_addr = nm ^ "_rd_addr" and rd_data = nm ^ "_rd_data" in
-            match List.assoc_opt rd_addr (Hw.Circuit.outputs circuit) with
-            | None -> None
-            | Some addr ->
-                if not (input_exists circuit rd_data) then
-                  failwith
-                    (Printf.sprintf
-                       "Rtl_core: %s_rd_addr without a %s_rd_data input" nm nm);
-                let row_bytes = (sp.Config.sp_data_bits + 7) / 8 in
-                Some
-                  {
-                    sb_name = nm;
-                    sb_spad = Soc.scratchpad ctx nm;
-                    sb_rd_addr = rd_addr;
-                    sb_rd_data = rd_data;
-                    sb_addr_fast = Hw.Signal.width addr <= 62;
-                    sb_widths = bytes_widths row_bytes;
-                    sb_buf = Array.make row_bytes 0;
-                    sb_addr = 0;
-                  })
-          ctx.Soc.system.Config.scratchpads
-      in
-      let st =
+  let bytes_widths n = Array.make n 8 in
+  let reads =
+    List.map
+      (fun (rc : Config.channel) ->
+        let c = rc.Config.ch_name in
         {
-          sim;
-          sys_name = ctx.Soc.system.Config.sys_name;
-          core_id = ctx.Soc.core_id;
-          req_valid = in_port "req_valid";
-          req_funct = in_port "req_funct";
-          req_p1 = in_port "req_p1";
-          req_p2 = in_port "req_p2";
-          resp_ready = in_port "resp_ready";
-          reads;
-          writes;
-          spads;
-        }
-      in
-      Hashtbl.add cores key st;
-      st
+          rb_reader = Soc.reader ctx c;
+          rb_items = Queue.create ();
+          rb_req_ready = in_port (c ^ "_req_ready");
+          rb_data_valid = in_port (c ^ "_data_valid");
+          rb_data = in_port (c ^ "_data");
+          rb_req_valid = c ^ "_req_valid";
+          rb_req_addr = c ^ "_req_addr";
+          rb_req_len = c ^ "_req_len";
+          rb_data_ready = c ^ "_data_ready";
+          rb_widths = bytes_widths rc.Config.ch_data_bytes;
+          rb_buf = Array.make rc.Config.ch_data_bytes 0;
+          rb_base = 0;
+          rb_presented = false;
+          rb_active = false;
+        })
+      ctx.Soc.system.Config.read_channels
+  in
+  let writes =
+    List.map
+      (fun (wc : Config.channel) ->
+        let c = wc.Config.ch_name in
+        {
+          wb_writer = Soc.writer ctx c;
+          wb_req_ready = in_port (c ^ "_req_ready");
+          wb_data_ready = in_port (c ^ "_data_ready");
+          wb_req_valid = c ^ "_req_valid";
+          wb_req_addr = c ^ "_req_addr";
+          wb_req_len = c ^ "_req_len";
+          wb_data_valid = c ^ "_data_valid";
+          wb_data = c ^ "_data";
+          wb_base = 0;
+          wb_offset = 0;
+          wb_open = false;
+          wb_done = true;
+          wb_unacked = 0;
+        })
+      ctx.Soc.system.Config.write_channels
+  in
+  (* scratchpads with RTL read ports: <name>_rd_addr / <name>_rd_data *)
+  let spads =
+    List.filter_map
+      (fun (sp : Config.scratchpad) ->
+        let nm = sp.Config.sp_name in
+        let rd_addr = nm ^ "_rd_addr" and rd_data = nm ^ "_rd_data" in
+        match List.assoc_opt rd_addr (Hw.Circuit.outputs circuit) with
+        | None -> None
+        | Some addr ->
+            if not (input_exists circuit rd_data) then
+              failwith
+                (Printf.sprintf
+                   "Rtl_core: %s_rd_addr without a %s_rd_data input" nm nm);
+            let row_bytes = (sp.Config.sp_data_bits + 7) / 8 in
+            Some
+              {
+                sb_name = nm;
+                sb_spad = Soc.scratchpad ctx nm;
+                sb_rd_addr = rd_addr;
+                sb_rd_data = rd_data;
+                sb_addr_fast = Hw.Signal.width addr <= 62;
+                sb_widths = bytes_widths row_bytes;
+                sb_buf = Array.make row_bytes 0;
+                sb_addr = 0;
+              })
+      ctx.Soc.system.Config.scratchpads
+  in
+  {
+    sim;
+    sys_name = ctx.Soc.system.Config.sys_name;
+    core_id = ctx.Soc.core_id;
+    req_valid = in_port "req_valid";
+    req_funct = in_port "req_funct";
+    req_p1 = in_port "req_p1";
+    req_p2 = in_port "req_p2";
+    resp_ready = in_port "resp_ready";
+    reads;
+    writes;
+    spads;
+  }
 
 let high sim name = Hw.Sim.output_int sim name = 1
 
@@ -295,9 +268,13 @@ let serve_scratchpads st =
              sb.sb_rd_data))
     st.spads
 
+(* The netlist is built and compiled on the core's first command, when
+   the SoC around it is complete. *)
 let behavior ?backend ~build () : Soc.behavior =
- fun ctx beats ~respond ->
-  let st = state_of ?backend ~build ctx in
+ fun ctx ->
+  let st = lazy (make_state ?backend ~build ctx) in
+  fun beats ~respond ->
+  let st = Lazy.force st in
   let sim = st.sim in
   let soc = ctx.Soc.soc in
   let pending_beats = ref beats in
@@ -382,7 +359,6 @@ let behavior ?backend ~build () : Soc.behavior =
           wb.wb_unacked <- wb.wb_unacked + 1;
           Soc.Writer.push wb.wb_writer
             ~on_accept:(fun () -> wb.wb_unacked <- wb.wb_unacked - 1)
-            ()
         end)
       st.writes;
     if high sim "resp_valid" && not !responded then begin

@@ -51,8 +51,11 @@ val behavior :
   build:(unit -> Hw.Circuit.t) ->
   unit ->
   Soc.behavior
-(** A {!Soc.behavior} that instantiates one circuit per core (lazily, via
-    [build]) and clocks it at the fabric rate while a command is active.
+(** A {!Soc.behavior} that instantiates one circuit per core (via
+    [build], on the core's first command) and clocks it at the fabric
+    rate while a command is active. The simulator lives in the closure
+    {!Soc.create} gets by applying the behavior to the core's [ctx], so a
+    wrapper must apply it to [ctx] once, outside its per-command function.
     [backend] selects the simulator ({!Hw.Sim.default_backend}, the
     compiled one, when omitted); both backends are bit-identical, so this
     only changes speed. Raises [Failure] at first use if the circuit is

@@ -7,12 +7,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  soc_uid : int;
   engine : Desim.Engine.t;
   design : Elaborate.t;
   platform : Platform.Device.t;
   dram : Dram.t;
-  axi : Axi.t; (* port 0; kept for stats/back-compat *)
   axi_ports : Axi.t array; (* one per DDR controller *)
   memory : Devmem.t; (* sparse: pages materialise on first write *)
   ace_snoop_ps : int;
@@ -35,10 +33,11 @@ and ctx = {
 
 and core_inst = {
   ci_ctx : ctx;
-  ci_readers : (string, reader array) Hashtbl.t;
-  ci_writers : (string, writer array) Hashtbl.t;
+  ci_readers : (string, port array) Hashtbl.t;
+  ci_writers : (string, port array) Hashtbl.t;
   ci_spads : (string, spad) Hashtbl.t;
-  ci_behavior : behavior;
+  ci_behavior : Rocc.t list -> respond:(int64 -> unit) -> unit;
+      (* the system's behavior, applied to this core's [ci_ctx] once *)
   ci_queue : (Rocc.t list * int option * (int64 -> unit)) Queue.t;
       (* queued beats carry the trace span of the issuing host command *)
   mutable ci_partial : Rocc.t list;
@@ -53,27 +52,17 @@ and core_inst = {
 
 and behavior = ctx -> Rocc.t list -> respond:(int64 -> unit) -> unit
 
-and reader = {
-  r_soc : t;
-  r_axi : Axi.t; (* the DDR controller port this channel is wired to *)
-  r_cfg : Config.read_channel;
-  r_base_id : int;
-  r_noc_ps : int;
-  mutable r_busy : bool;
-  r_track : string;
-  r_parent : unit -> int option; (* current exec span of the owning core *)
-}
-
-and writer = {
-  w_soc : t;
-  w_axi : Axi.t;
-  w_cfg : Config.write_channel;
-  w_base_id : int;
-  w_noc_ps : int;
-  mutable w_busy : bool;
-  mutable w_txn : writer_txn option;
-  w_track : string;
-  w_parent : unit -> int option;
+(* One memory channel instance, Reader or Writer alike. *)
+and port = {
+  p_soc : t;
+  p_axi : Axi.t; (* the DDR controller port this channel is wired to *)
+  p_cfg : Config.channel;
+  p_base_id : int;
+  p_noc_ps : int;
+  mutable p_busy : bool;
+  mutable p_txn : writer_txn option; (* a Writer's open transaction *)
+  p_track : string;
+  p_parent : unit -> int option; (* current exec span of the owning core *)
 }
 
 and writer_txn = {
@@ -98,7 +87,7 @@ and writer_txn = {
 and spad = {
   sp_cfg : Config.scratchpad;
   sp_soc : t;
-  sp_reader : reader;
+  sp_reader : port;
   sp_data : Bytes.t;
   sp_row_bytes : int;
 }
@@ -161,95 +150,198 @@ let axi_retry_budget t = t.policy.Fault.Policy.axi_max_retries
 let axi_backoff t ~attempt =
   t.policy.Fault.Policy.axi_backoff_ps * (1 lsl min attempt 10)
 
+(* An AXI response, settled: [Done] on success, [Retry backoff_ps] while
+   the retry budget lasts, [Lost] once it is spent. A final outcome
+   resolves the failed attempts in the fault ledger under the site
+   "<channel> <what>@0x<addr>"; the success path allocates nothing. *)
+type settled = Done | Retry of int | Lost
+
+let settle (p : port) ~cls ~what ~addr ~attempt resp =
+  let soc = p.p_soc in
+  match resp with
+  | Axi.Resp.Okay ->
+      fault_resolve soc ~cls ~n:attempt ~recovered:true
+        ~port:p.p_cfg.Config.ch_name ~what ~addr;
+      Done
+  | Axi.Resp.Slverr | Axi.Resp.Decerr ->
+      if attempt < axi_retry_budget soc then Retry (axi_backoff soc ~attempt)
+      else begin
+        fault_resolve soc ~cls ~n:(attempt + 1) ~recovered:false
+          ~port:p.p_cfg.Config.ch_name ~what ~addr;
+        Lost
+      end
+
+(* ------------------------------------------------------------------ *)
+(* Memory channels: what Readers and Writers share                     *)
+(* ------------------------------------------------------------------ *)
+
+let beat_bytes (p : port) = (Axi.params p.p_axi).Axi.Params.data_bytes
+
+(* A transfer is widened to whole AXI beats: it starts at [beat_floor]
+   and spans [padded_bytes]. *)
+let beat_floor p addr = addr - (addr mod beat_bytes p)
+
+let padded_bytes p ~addr ~bytes =
+  let bb = beat_bytes p in
+  ((addr + bytes + bb - 1) / bb * bb) - beat_floor p addr
+
+(* the widened transfer as legal bursts no longer than the channel's *)
+let segments (p : port) ~addr ~bytes =
+  let prm = Axi.params p.p_axi in
+  let prm =
+    {
+      prm with
+      Axi.Params.max_burst_beats =
+        min prm.Axi.Params.max_burst_beats p.p_cfg.Config.ch_burst_beats;
+    }
+  in
+  Axi.Burst.split ~params:prm ~addr:(beat_floor p addr)
+    ~bytes:(padded_bytes p ~addr ~bytes)
+
+let pick_id (p : port) k =
+  let n = (Axi.params p.p_axi).Axi.Params.n_ids in
+  if p.p_cfg.Config.ch_use_tlp then (p.p_base_id + k) mod n else p.p_base_id
+
+(* A request travels through the memory NoC (+ coherence snoop on
+   embedded platforms) before it reaches the AXI port. *)
+let after_hop (p : port) k =
+  Desim.Engine.schedule p.p_soc.engine
+    ~delay:(p.p_noc_ps + coherence_ps p.p_soc)
+    k
+
+(* Open a span covering one reader/writer stream, parented under the
+   owning core's in-flight execution span; returns an [on_done] wrapper
+   that closes it. The span is named "<what> 0x<addr> <bytes>B", formatted
+   only when there is a tracer. *)
+let stream_span (p : port) ~what ~addr ~bytes ~on_done =
+  let soc = p.p_soc in
+  match soc.tracer with
+  | None -> (None, on_done)
+  | Some tr ->
+      let clock_ps = soc.platform.Platform.Device.fabric_clock_ps in
+      Trace.observe tr "noc.mem.hop_ps" (float_of_int p.p_noc_ps);
+      Trace.observe_hist tr "noc.mem.hop_ps"
+        ~bucket_width:(float_of_int clock_ps)
+        (float_of_int p.p_noc_ps);
+      let sp =
+        Trace.begin_span tr
+          ~now:(Desim.Engine.now soc.engine)
+          ?parent:(p.p_parent ()) ~track:p.p_track ~cat:"mem"
+          ~name:(Printf.sprintf "%s 0x%x %dB" what addr bytes)
+          ()
+      in
+      ( Some sp,
+        fun () ->
+          Trace.end_span tr ~now:(Desim.Engine.now soc.engine) sp;
+          on_done () )
+
+(* Move a region at full channel throughput, without item-level
+   delivery: at most [ch_max_in_flight] bursts at a time, each retried
+   under the fault policy. The channel frees, and [on_done] fires, one
+   NoC hop after the last response. *)
+let bulk (p : port) (dir : Dram.dir) ~addr ~bytes ~on_done =
+  if p.p_busy then
+    failwith
+      (match dir with
+      | Dram.Read -> "Reader busy: one stream at a time"
+      | Dram.Write -> "Writer busy: one transaction at a time");
+  p.p_busy <- true;
+  let engine = p.p_soc.engine in
+  let span, on_done =
+    stream_span p
+      ~what:(match dir with Dram.Read -> "rd.bulk" | Dram.Write -> "wr.bulk")
+      ~addr ~bytes ~on_done
+  in
+  let cls =
+    match dir with
+    | Dram.Read -> Fault.Class.Axi_read_error
+    | Dram.Write -> Fault.Class.Axi_write_error
+  in
+  let what =
+    match dir with Dram.Read -> "rd-bulk seg" | Dram.Write -> "wr-bulk seg"
+  in
+  let segs = Array.of_list (segments p ~addr ~bytes) in
+  let n_segs = Array.length segs in
+  let in_flight = ref 0 in
+  let next_seg = ref 0 in
+  let completed = ref 0 in
+  let rec try_issue () =
+    if !next_seg < n_segs && !in_flight < p.p_cfg.Config.ch_max_in_flight
+    then begin
+      let si = !next_seg in
+      incr next_seg;
+      incr in_flight;
+      issue_seg si 0;
+      try_issue ()
+    end
+  and issue_seg si attempt =
+    let seg = segs.(si) in
+    let id = pick_id p si in
+    let on_resp resp =
+      match settle p ~cls ~what ~addr:seg.Axi.Burst.addr ~attempt resp with
+      | Retry backoff ->
+          Desim.Engine.schedule engine ~delay:backoff (fun () ->
+              issue_seg si (attempt + 1))
+      | Done | Lost ->
+          decr in_flight;
+          incr completed;
+          if !completed = n_segs then
+            Desim.Engine.schedule engine ~delay:p.p_noc_ps (fun () ->
+                p.p_busy <- false;
+                on_done ())
+          else try_issue ()
+    in
+    after_hop p (fun () ->
+        match dir with
+        | Dram.Read ->
+            Axi.read ?span p.p_axi ~id ~addr:seg.Axi.Burst.addr
+              ~beats:seg.Axi.Burst.beats
+              ~on_beat:(fun ~beat:_ -> ())
+              ~on_done:on_resp
+        | Dram.Write ->
+            Axi.write ?span p.p_axi ~id ~addr:seg.Axi.Burst.addr
+              ~beats:seg.Axi.Burst.beats ~on_done:on_resp)
+  in
+  try_issue ()
+
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
 module Reader = struct
-  type r = reader
+  type r = port
 
-  let beat_bytes (r : r) = (Axi.params r.r_axi).Axi.Params.data_bytes
-
-  let segments_for (r : r) ~addr ~bytes =
-    let prm = Axi.params r.r_axi in
-    let bb = prm.Axi.Params.data_bytes in
-    let addr0 = addr - (addr mod bb) in
-    let padded = ((addr + bytes + bb - 1) / bb * bb) - addr0 in
-    let prm =
-      {
-        prm with
-        Axi.Params.max_burst_beats =
-          min prm.Axi.Params.max_burst_beats r.r_cfg.Config.rc_burst_beats;
-      }
-    in
-    Axi.Burst.split ~params:prm ~addr:addr0 ~bytes:padded
-
-  let pick_id (r : r) k =
-    let n = (Axi.params r.r_axi).Axi.Params.n_ids in
-    if r.r_cfg.Config.rc_use_tlp then (r.r_base_id + k) mod n
-    else r.r_base_id
-
-  (* Open a span covering one reader/writer stream, parented under the
-     owning core's in-flight execution span; returns an [on_done] wrapper
-     that closes it. The span is named "<what> 0x<addr> <bytes>B", formatted
-     only when there is a tracer. *)
-  let stream_span soc ~track ~parent ~hop_ps ~cat ~what ~addr ~bytes ~on_done =
-    match soc.tracer with
-    | None -> (None, on_done)
-    | Some tr ->
-        let clock_ps = soc.platform.Platform.Device.fabric_clock_ps in
-        Trace.observe tr "noc.mem.hop_ps" (float_of_int hop_ps);
-        Trace.observe_hist tr "noc.mem.hop_ps"
-          ~bucket_width:(float_of_int clock_ps)
-          (float_of_int hop_ps);
-        let sp =
-          Trace.begin_span tr
-            ~now:(Desim.Engine.now soc.engine)
-            ?parent:(parent ()) ~track ~cat
-            ~name:(Printf.sprintf "%s 0x%x %dB" what addr bytes)
-            ()
-        in
-        ( Some sp,
-          fun () ->
-            Trace.end_span tr ~now:(Desim.Engine.now soc.engine) sp;
-            on_done () )
+  let beat_bytes = beat_bytes
 
   let stream (r : r) ~addr ~bytes ?item_bytes ~on_item ~on_done () =
-    if r.r_busy then failwith "Reader busy: one stream at a time";
+    if r.p_busy then failwith "Reader busy: one stream at a time";
     if bytes <= 0 then invalid_arg "Reader.stream: bytes";
-    r.r_busy <- true;
-    let engine = r.r_soc.engine in
-    let clock_ps = r.r_soc.platform.Platform.Device.fabric_clock_ps in
+    r.p_busy <- true;
+    let engine = r.p_soc.engine in
+    let clock_ps = r.p_soc.platform.Platform.Device.fabric_clock_ps in
     let bb = beat_bytes r in
     let item_bytes =
-      Option.value item_bytes ~default:r.r_cfg.Config.rc_data_bytes
+      Option.value item_bytes ~default:r.p_cfg.Config.ch_data_bytes
     in
     if item_bytes > bb || bb mod item_bytes <> 0 then
       invalid_arg "Reader.stream: item width must divide the AXI beat";
     let span, on_done =
-      stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent
-        ~hop_ps:r.r_noc_ps ~cat:"mem"
-        ~what:"rd.stream" ~addr ~bytes ~on_done
+      stream_span r ~what:"rd.stream" ~addr ~bytes ~on_done
     in
     let items_per_beat = bb / item_bytes in
     let lead_items = addr mod bb / item_bytes in
     let n_items = ((bytes - 1) / item_bytes) + 1 in
-    let segs = Array.of_list (segments_for r ~addr ~bytes) in
+    let segs = Array.of_list (segments r ~addr ~bytes) in
     let n_segs = Array.length segs in
-    let arrived = Array.make n_segs 0 in
-    (* beat arrival times, flattened *)
+    (* beat arrival times, flattened; segment [i]'s first beat is at
+       [seg_base.(i)] *)
+    let seg_base = Array.make n_segs 0 in
+    for i = 1 to n_segs - 1 do
+      seg_base.(i) <- seg_base.(i - 1) + segs.(i - 1).Axi.Burst.beats
+    done;
     let total_beats = Array.fold_left (fun a s -> a + s.Axi.Burst.beats) 0 segs in
     let beat_time = Array.make total_beats max_int in
-    let seg_base = Array.make n_segs 0 in
-    let _ =
-      Array.fold_left
-        (fun (i, base) s ->
-          seg_base.(i) <- base;
-          (i + 1, base + s.Axi.Burst.beats))
-        (0, 0) segs
-      |> fun (i, _) -> ignore i
-    in
-    let free_beats = ref r.r_cfg.Config.rc_buffer_beats in
+    let free_beats = ref r.p_cfg.Config.ch_buffer_beats in
     let in_flight = ref 0 in
     let next_seg = ref 0 in
     (* delivery cursor *)
@@ -259,7 +351,7 @@ module Reader = struct
     let rec try_issue () =
       if
         !next_seg < n_segs
-        && !in_flight < r.r_cfg.Config.rc_max_in_flight
+        && !in_flight < r.p_cfg.Config.ch_max_in_flight
         && !free_beats >= segs.(!next_seg).Axi.Burst.beats
       then begin
         let si = !next_seg in
@@ -272,53 +364,37 @@ module Reader = struct
     and issue_seg si attempt =
       let seg = segs.(si) in
       let id = pick_id r si in
-      (* request travels through the memory NoC (+ coherence snoop on
-         embedded platforms) *)
-      Desim.Engine.schedule engine
-        ~delay:(r.r_noc_ps + coherence_ps r.r_soc)
-        (fun () ->
-          Axi.read ?span r.r_axi ~id ~addr:seg.Axi.Burst.addr
+      after_hop r (fun () ->
+          Axi.read ?span r.p_axi ~id ~addr:seg.Axi.Burst.addr
             ~beats:seg.Axi.Burst.beats
             ~on_beat:(fun ~beat ->
               (* data beat returns through the NoC *)
-              Desim.Engine.schedule engine ~delay:r.r_noc_ps (fun () ->
+              Desim.Engine.schedule engine ~delay:r.p_noc_ps (fun () ->
                   beat_time.(seg_base.(si) + beat) <-
                     Desim.Engine.now engine;
-                  arrived.(si) <- arrived.(si) + 1;
                   pump ()))
             ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                    ~n:attempt ~recovered:true
-                    ~port:r.r_cfg.Config.rc_name ~what:"rd seg"
-                    ~addr:seg.Axi.Burst.addr;
+              match
+                settle r ~cls:Fault.Class.Axi_read_error ~what:"rd seg"
+                  ~addr:seg.Axi.Burst.addr ~attempt resp
+              with
+              | Done ->
                   decr in_flight;
                   try_issue ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget r.r_soc then
-                    Desim.Engine.schedule engine
-                      ~delay:(axi_backoff r.r_soc ~attempt)
-                      (fun () -> issue_seg si (attempt + 1))
-                  else begin
-                    (* retry budget exhausted: declare the burst lost but
-                       keep the stream alive — its beats complete so the
-                       pipeline never wedges *)
-                    fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                      ~n:(attempt + 1) ~recovered:false
-                      ~port:r.r_cfg.Config.rc_name ~what:"rd seg"
-                      ~addr:seg.Axi.Burst.addr;
-                    let now = Desim.Engine.now engine in
-                    for b = 0 to seg.Axi.Burst.beats - 1 do
-                      if beat_time.(seg_base.(si) + b) = max_int then begin
-                        beat_time.(seg_base.(si) + b) <- now;
-                        arrived.(si) <- arrived.(si) + 1
-                      end
-                    done;
-                    decr in_flight;
-                    pump ();
-                    try_issue ()
-                  end))
+              | Retry backoff ->
+                  Desim.Engine.schedule engine ~delay:backoff (fun () ->
+                      issue_seg si (attempt + 1))
+              | Lost ->
+                  (* the burst is lost but the stream stays alive: its
+                     beats complete so the pipeline never wedges *)
+                  let now = Desim.Engine.now engine in
+                  for b = 0 to seg.Axi.Burst.beats - 1 do
+                    if beat_time.(seg_base.(si) + b) = max_int then
+                      beat_time.(seg_base.(si) + b) <- now
+                  done;
+                  decr in_flight;
+                  pump ();
+                  try_issue ()))
     and pump () =
       if not !pumping then begin
         pumping := true;
@@ -327,7 +403,7 @@ module Reader = struct
     and step () =
       if !delivered >= n_items then begin
         pumping := false;
-        r.r_busy <- false;
+        r.p_busy <- false;
         on_done ()
       end
       else begin
@@ -376,68 +452,7 @@ module Reader = struct
     row 0
 
   let bulk (r : r) ~addr ~bytes ~on_done =
-    if r.r_busy then failwith "Reader busy: one stream at a time";
-    r.r_busy <- true;
-    let engine = r.r_soc.engine in
-    let span, on_done =
-      stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent
-        ~hop_ps:r.r_noc_ps ~cat:"mem"
-        ~what:"rd.bulk" ~addr ~bytes ~on_done
-    in
-    let segs = Array.of_list (segments_for r ~addr ~bytes) in
-    let n_segs = Array.length segs in
-    let in_flight = ref 0 in
-    let next_seg = ref 0 in
-    let completed = ref 0 in
-    let rec try_issue () =
-      if !next_seg < n_segs && !in_flight < r.r_cfg.Config.rc_max_in_flight
-      then begin
-        let si = !next_seg in
-        incr next_seg;
-        incr in_flight;
-        issue_seg si 0;
-        try_issue ()
-      end
-    and issue_seg si attempt =
-      let seg = segs.(si) in
-      let id = pick_id r si in
-      let finish () =
-        decr in_flight;
-        incr completed;
-        if !completed = n_segs then
-          Desim.Engine.schedule engine ~delay:r.r_noc_ps (fun () ->
-              r.r_busy <- false;
-              on_done ())
-        else try_issue ()
-      in
-      Desim.Engine.schedule engine
-        ~delay:(r.r_noc_ps + coherence_ps r.r_soc)
-        (fun () ->
-          Axi.read ?span r.r_axi ~id ~addr:seg.Axi.Burst.addr
-            ~beats:seg.Axi.Burst.beats
-            ~on_beat:(fun ~beat:_ -> ())
-            ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                    ~n:attempt ~recovered:true
-                    ~port:r.r_cfg.Config.rc_name ~what:"rd-bulk seg"
-                    ~addr:seg.Axi.Burst.addr;
-                  finish ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget r.r_soc then
-                    Desim.Engine.schedule engine
-                      ~delay:(axi_backoff r.r_soc ~attempt)
-                      (fun () -> issue_seg si (attempt + 1))
-                  else begin
-                    fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                      ~n:(attempt + 1) ~recovered:false
-                      ~port:r.r_cfg.Config.rc_name ~what:"rd-bulk seg"
-                      ~addr:seg.Axi.Burst.addr;
-                    finish ()
-                  end))
-    in
-    try_issue ()
+    bulk r Dram.Read ~addr ~bytes ~on_done
 end
 
 (* ------------------------------------------------------------------ *)
@@ -445,24 +460,17 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Writer = struct
-  type w = writer
-
-  let beat_bytes (w : w) = (Axi.params w.w_axi).Axi.Params.data_bytes
-
-  let pick_id (w : w) k =
-    let n = (Axi.params w.w_axi).Axi.Params.n_ids in
-    if w.w_cfg.Config.wc_use_tlp then (w.w_base_id + k) mod n
-    else w.w_base_id
+  type w = port
 
   (* Issue the next write burst if enough data is buffered. *)
   let rec try_ship (w : w) txn =
     let bb = beat_bytes w in
-    let prm = Axi.params w.w_axi in
+    let prm = Axi.params w.p_axi in
     let burst_beats =
-      min w.w_cfg.Config.wc_burst_beats prm.Axi.Params.max_burst_beats
+      min w.p_cfg.Config.ch_burst_beats prm.Axi.Params.max_burst_beats
     in
     if txn.wt_remaining_bytes > 0
-       && txn.wt_in_flight < w.w_cfg.Config.wc_max_in_flight
+       && txn.wt_in_flight < w.p_cfg.Config.ch_max_in_flight
     then begin
       let items_per_beat = max 1 (bb / txn.wt_item_bytes) in
       let want_beats =
@@ -505,38 +513,27 @@ module Writer = struct
             decr n
           done;
           if txn.wt_all_issued && txn.wt_bursts_outstanding = 0 then begin
-            w.w_busy <- false;
-            w.w_txn <- None;
+            w.p_busy <- false;
+            w.p_txn <- None;
             txn.wt_on_done ()
           end
           else try_ship w txn
         in
+        (* a retry re-issues at the AXI port, without crossing the NoC
+           again *)
         let rec attempt_write attempt =
-          Axi.write ?span:txn.wt_span w.w_axi ~id ~addr ~beats
+          Axi.write ?span:txn.wt_span w.p_axi ~id ~addr ~beats
             ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                    ~n:attempt ~recovered:true
-                    ~port:w.w_cfg.Config.wc_name ~what:"wr burst"
-                    ~addr;
-                  complete ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget w.w_soc then
-                    Desim.Engine.schedule w.w_soc.engine
-                      ~delay:(axi_backoff w.w_soc ~attempt)
-                      (fun () -> attempt_write (attempt + 1))
-                  else begin
-                    fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                      ~n:(attempt + 1) ~recovered:false
-                      ~port:w.w_cfg.Config.wc_name ~what:"wr burst"
-                      ~addr;
-                    complete ()
-                  end)
+              match
+                settle w ~cls:Fault.Class.Axi_write_error ~what:"wr burst"
+                  ~addr ~attempt resp
+              with
+              | Done | Lost -> complete ()
+              | Retry backoff ->
+                  Desim.Engine.schedule w.p_soc.engine ~delay:backoff
+                    (fun () -> attempt_write (attempt + 1)))
         in
-        Desim.Engine.schedule w.w_soc.engine
-          ~delay:(w.w_noc_ps + coherence_ps w.w_soc)
-          (fun () -> attempt_write 0);
+        after_hop w (fun () -> attempt_write 0);
         try_ship w txn
       end
     end
@@ -550,26 +547,19 @@ module Writer = struct
     txn.wt_pushed <- txn.wt_pushed + 1;
     txn.wt_buffered <- txn.wt_buffered + 1;
     txn.wt_unshipped <- txn.wt_unshipped + 1;
-    let engine = w.w_soc.engine in
+    let engine = w.p_soc.engine in
     let at = max (Desim.Engine.now engine) txn.wt_next_push_time in
     txn.wt_next_push_time <-
-      at + w.w_soc.platform.Platform.Device.fabric_clock_ps;
+      at + w.p_soc.platform.Platform.Device.fabric_clock_ps;
     Queue.push on_accept txn.wt_accepting;
     Desim.Engine.schedule_at engine ~time:at txn.wt_accept
 
   let begin_txn (w : w) ~addr ~bytes ~on_done =
-    if w.w_busy then failwith "Writer busy: one transaction at a time";
+    if w.p_busy then failwith "Writer busy: one transaction at a time";
     if bytes <= 0 then invalid_arg "Writer.begin_txn: bytes";
-    w.w_busy <- true;
-    let item_bytes = w.w_cfg.Config.wc_data_bytes in
-    let bb = beat_bytes w in
-    let addr0 = addr - (addr mod bb) in
-    let padded = ((addr + bytes + bb - 1) / bb * bb) - addr0 in
-    let span, on_done =
-      Reader.stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent
-        ~hop_ps:w.w_noc_ps ~cat:"mem"
-        ~what:"wr.txn" ~addr ~bytes ~on_done
-    in
+    w.p_busy <- true;
+    let item_bytes = w.p_cfg.Config.ch_data_bytes in
+    let span, on_done = stream_span w ~what:"wr.txn" ~addr ~bytes ~on_done in
     let rec txn =
       {
         wt_span = span;
@@ -578,8 +568,8 @@ module Writer = struct
         wt_pushed = 0;
         wt_buffered = 0;
         wt_unshipped = 0;
-        wt_next_addr = addr0;
-        wt_remaining_bytes = padded;
+        wt_next_addr = beat_floor w addr;
+        wt_remaining_bytes = padded_bytes w ~addr ~bytes;
         wt_in_flight = 0;
         wt_next_push_time = 0;
         wt_waiting_push = Queue.create ();
@@ -594,94 +584,21 @@ module Writer = struct
         wt_all_issued = false;
         }
     in
-    w.w_txn <- Some txn
+    w.p_txn <- Some txn
 
-  let push (w : w) ?item_bytes ~on_accept () =
-    match w.w_txn with
+  let push (w : w) ~on_accept =
+    match w.p_txn with
     | None -> failwith "Writer.push: no open transaction"
     | Some txn ->
-        ignore item_bytes;
         let bb = beat_bytes w in
         let items_per_beat = max 1 (bb / txn.wt_item_bytes) in
-        let capacity = w.w_cfg.Config.wc_buffer_beats * items_per_beat in
+        let capacity = w.p_cfg.Config.ch_buffer_beats * items_per_beat in
         if txn.wt_buffered < capacity && Queue.is_empty txn.wt_waiting_push
         then admit w txn on_accept
         else Queue.push on_accept txn.wt_waiting_push
 
   let bulk (w : w) ~addr ~bytes ~on_done =
-    if w.w_busy then failwith "Writer busy: one transaction at a time";
-    w.w_busy <- true;
-    let engine = w.w_soc.engine in
-    let span, on_done =
-      Reader.stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent
-        ~hop_ps:w.w_noc_ps ~cat:"mem"
-        ~what:"wr.bulk" ~addr ~bytes ~on_done
-    in
-    let prm = Axi.params w.w_axi in
-    let bb = prm.Axi.Params.data_bytes in
-    let addr0 = addr - (addr mod bb) in
-    let padded = ((addr + bytes + bb - 1) / bb * bb) - addr0 in
-    let prm' =
-      {
-        prm with
-        Axi.Params.max_burst_beats =
-          min prm.Axi.Params.max_burst_beats w.w_cfg.Config.wc_burst_beats;
-      }
-    in
-    let segs =
-      Array.of_list (Axi.Burst.split ~params:prm' ~addr:addr0 ~bytes:padded)
-    in
-    let n_segs = Array.length segs in
-    let in_flight = ref 0 in
-    let next_seg = ref 0 in
-    let completed = ref 0 in
-    let rec try_issue () =
-      if !next_seg < n_segs && !in_flight < w.w_cfg.Config.wc_max_in_flight
-      then begin
-        let si = !next_seg in
-        incr next_seg;
-        incr in_flight;
-        issue_seg si 0;
-        try_issue ()
-      end
-    and issue_seg si attempt =
-      let seg = segs.(si) in
-      let id = pick_id w si in
-      let finish () =
-        decr in_flight;
-        incr completed;
-        if !completed = n_segs then begin
-          w.w_busy <- false;
-          Desim.Engine.schedule engine ~delay:w.w_noc_ps (fun () -> on_done ())
-        end
-        else try_issue ()
-      in
-      Desim.Engine.schedule engine
-        ~delay:(w.w_noc_ps + coherence_ps w.w_soc)
-        (fun () ->
-          Axi.write ?span w.w_axi ~id ~addr:seg.Axi.Burst.addr
-            ~beats:seg.Axi.Burst.beats ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                    ~n:attempt ~recovered:true
-                    ~port:w.w_cfg.Config.wc_name ~what:"wr-bulk seg"
-                    ~addr:seg.Axi.Burst.addr;
-                  finish ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget w.w_soc then
-                    Desim.Engine.schedule engine
-                      ~delay:(axi_backoff w.w_soc ~attempt)
-                      (fun () -> issue_seg si (attempt + 1))
-                  else begin
-                    fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                      ~n:(attempt + 1) ~recovered:false
-                      ~port:w.w_cfg.Config.wc_name ~what:"wr-bulk seg"
-                      ~addr:seg.Axi.Burst.addr;
-                    finish ()
-                  end))
-    in
-    try_issue ()
+    bulk w Dram.Write ~addr ~bytes ~on_done
 end
 
 (* ------------------------------------------------------------------ *)
@@ -743,7 +660,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 let fresh_axi_id t =
-  let n = (Axi.params t.axi).Axi.Params.n_ids in
+  let n = t.platform.Platform.Device.axi.Axi.Params.n_ids in
   let id = t.next_axi_id mod n in
   t.next_axi_id <- t.next_axi_id + 1;
   id
@@ -752,20 +669,26 @@ let fresh_axi_id t =
    the platform developer's channel assignment would *)
 let port_for t ep = t.axi_ports.(ep mod Array.length t.axi_ports)
 
-let make_reader t ~cfg ~ep ~noc_ps ~track ~parent =
-  { r_soc = t; r_axi = port_for t ep; r_cfg = cfg; r_base_id = fresh_axi_id t;
-    r_noc_ps = noc_ps; r_busy = false; r_track = track; r_parent = parent }
+let make_port t ~cfg ~ep ~noc_ps ~track ~parent =
+  {
+    p_soc = t;
+    p_axi = port_for t ep;
+    p_cfg = cfg;
+    p_base_id = fresh_axi_id t;
+    p_noc_ps = noc_ps;
+    p_busy = false;
+    p_txn = None;
+    p_track = track;
+    p_parent = parent;
+  }
 
 let spad_fill_channel (sp : Config.scratchpad) =
   Config.read_channel ~name:(sp.Config.sp_name ^ "[init]")
     ~data_bytes:(max 1 (sp.Config.sp_data_bits / 8))
     ()
 
-let next_soc_uid = ref 0
-
 let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
     ?(policy = Fault.Policy.default) (design : Elaborate.t) ~behaviors =
-  incr next_soc_uid;
   let engine = Desim.Engine.create () in
   let platform = design.Elaborate.platform in
   let dram = Dram.create engine platform.Platform.Device.dram in
@@ -783,16 +706,13 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
           Axi.create ?tracer ~name ?fault engine dram
             platform.Platform.Device.axi)
   in
-  let axi = axi_ports.(0) in
   let n_cores = Config.total_cores design.Elaborate.config in
   let t =
     {
-      soc_uid = !next_soc_uid;
       engine;
       design;
       platform;
       dram;
-      axi;
       memory = Devmem.create memory_bytes;
       ace_snoop_ps =
         (if platform.Platform.Device.host.Platform.Device.shared_address_space
@@ -889,38 +809,23 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
           Printf.sprintf "core %s/%d" sys.Config.sys_name core
         in
         let chan_track chan = Printf.sprintf "%s %s" core_track chan in
-        let readers = Hashtbl.create 4 in
-        List.iter
-          (fun rc ->
-            let arr =
-              Array.init rc.Config.rc_n_channels (fun i ->
-                  let chan = Printf.sprintf "%s[%d]" rc.Config.rc_name i in
-                  make_reader t ~cfg:rc ~ep:(mem_ep chan)
-                    ~noc_ps:(mem_noc_ps chan) ~track:(chan_track chan)
-                    ~parent)
-            in
-            Hashtbl.add readers rc.Config.rc_name arr)
-          sys.Config.read_channels;
-        let writers = Hashtbl.create 4 in
-        List.iter
-          (fun wc ->
-            let arr =
-              Array.init wc.Config.wc_n_channels (fun i ->
-                  let chan = Printf.sprintf "%s[%d]" wc.Config.wc_name i in
-                  {
-                    w_soc = t;
-                    w_axi = port_for t (mem_ep chan);
-                    w_cfg = wc;
-                    w_base_id = fresh_axi_id t;
-                    w_noc_ps = mem_noc_ps chan;
-                    w_busy = false;
-                    w_txn = None;
-                    w_track = chan_track chan;
-                    w_parent = parent;
-                  })
-            in
-            Hashtbl.add writers wc.Config.wc_name arr)
-          sys.Config.write_channels;
+        let ports channels =
+          let tbl = Hashtbl.create 4 in
+          List.iter
+            (fun (c : Config.channel) ->
+              let arr =
+                Array.init c.Config.ch_n_channels (fun i ->
+                    let chan = Printf.sprintf "%s[%d]" c.Config.ch_name i in
+                    make_port t ~cfg:c ~ep:(mem_ep chan)
+                      ~noc_ps:(mem_noc_ps chan) ~track:(chan_track chan)
+                      ~parent)
+              in
+              Hashtbl.add tbl c.Config.ch_name arr)
+            channels;
+          tbl
+        in
+        let readers = ports sys.Config.read_channels in
+        let writers = ports sys.Config.write_channels in
         let spads = Hashtbl.create 4 in
         List.iter
           (fun sp ->
@@ -936,7 +841,7 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
                 sp_cfg = sp;
                 sp_soc = t;
                 sp_reader =
-                  make_reader t ~cfg:(spad_fill_channel sp) ~ep:sp_ep ~noc_ps
+                  make_port t ~cfg:(spad_fill_channel sp) ~ep:sp_ep ~noc_ps
                     ~track:(chan_track (sp.Config.sp_name ^ "[init]"))
                     ~parent;
                 sp_data = Bytes.make (row_bytes * sp.Config.sp_n_datas) '\000';
@@ -950,7 +855,7 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
               ci_readers = readers;
               ci_writers = writers;
               ci_spads = spads;
-              ci_behavior = behaviors sys.Config.sys_name;
+              ci_behavior = behaviors sys.Config.sys_name ctx;
               ci_queue = Queue.create ();
               ci_partial = [];
               ci_busy = false;
@@ -965,7 +870,6 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
   t
 
 let engine t = t.engine
-let uid t = t.soc_uid
 let tracer t = t.tracer
 let fault_injector t = t.fault
 let policy t = t.policy
@@ -973,7 +877,6 @@ let axi_ports t = t.axi_ports
 let design t = t.design
 let platform t = t.platform
 let dram t = t.dram
-let axi t = t.axi
 
 (* ------------------------------------------------------------------ *)
 (* Command dispatch                                                    *)
@@ -1018,7 +921,7 @@ let rec pump_core t (ci : core_inst) =
                ())
     in
     ci.ci_cur_span := exec_span;
-    ci.ci_behavior ci.ci_ctx beats ~respond:(fun data ->
+    ci.ci_behavior beats ~respond:(fun data ->
         ci.ci_busy <- false;
         (match (t.tracer, exec_span) with
         | Some tr, Some sp ->
@@ -1086,12 +989,10 @@ let send_command ?span t (cmd : Rocc.t) ~on_response =
     Elaborate.cmd_endpoint t.design ~system:sys.Config.sys_name
       ~core:cmd.Rocc.core_id
   in
-  let noc_ps = Noc.latency_ps t.design.Elaborate.cmd_noc ~ep_id:ep in
   let mmio_ps = t.platform.Platform.Device.host.Platform.Device.mmio_latency_ps in
   Log.debug (fun m ->
       m "cmd sys=%d core=%d funct=%d @%dps" cmd.Rocc.system_id
         cmd.Rocc.core_id cmd.Rocc.funct (Desim.Engine.now t.engine));
-  ignore noc_ps;
   let deliver () =
     (* a hung core swallows its traffic; the runtime watchdog notices *)
     if not ci.ci_hung then begin
@@ -1284,11 +1185,22 @@ let stats_report t =
   in
   pr "  AXI: %d read txns, %d write txns over %d port(s)" reads writes
     (Array.length t.axi_ports);
-  (match Desim.Stats.summarize_opt (Axi.read_latency t.axi) with
-  | Some s ->
-      pr ", read latency mean %.0f ns (max %.0f)" (s.Desim.Stats.mean /. 1000.)
-        (s.Desim.Stats.max /. 1000.)
-  | None -> ());
+  (* read latency over every port: mean = total / count, max of maxima *)
+  let n, total, worst =
+    Array.fold_left
+      (fun ((n, total, worst) as acc) p ->
+        match Desim.Stats.summarize_opt (Axi.read_latency p) with
+        | Some s ->
+            ( n + s.Desim.Stats.n,
+              total +. s.Desim.Stats.total,
+              Float.max worst s.Desim.Stats.max )
+        | None -> acc)
+      (0, 0., 0.) t.axi_ports
+  in
+  if n > 0 then
+    pr ", read latency mean %.0f ns (max %.0f)"
+      (total /. float_of_int n /. 1000.)
+      (worst /. 1000.);
   pr "\n";
   pr "  NoC: %d command messages, %d memory-fabric buffers\n"
     (Noc.messages_sent t.design.Elaborate.cmd_noc)

@@ -65,7 +65,7 @@ module Writer : sig
       [bytes / item_bytes] items. [on_done] fires when the final write
       response returns. *)
 
-  val push : w -> ?item_bytes:int -> on_accept:(unit -> unit) -> unit -> unit
+  val push : w -> on_accept:(unit -> unit) -> unit
   (** Offer one item; [on_accept] fires when buffer space admits it (at
       most one per fabric cycle). *)
 
@@ -129,9 +129,15 @@ val after_cycles : ctx -> int -> (unit -> unit) -> unit
 (** Model [n] fabric cycles of compute. *)
 
 type behavior = ctx -> Rocc.t list -> respond:(int64 -> unit) -> unit
-(** Invoked once per (possibly multi-beat) command; must eventually call
-    [respond]. Cores execute one command at a time; further commands queue
-    at the core. *)
+(** {!create} applies a behavior to each core's [ctx] once, at boot; the
+    function that returns is invoked once per (possibly multi-beat)
+    command and must eventually call [respond]. Per-core state (an RTL
+    simulator, say) is therefore set up between the two stages,
+    [fun ctx -> let st = ... in fun beats ~respond -> ...], and lives as
+    long as the SoC. The first stage runs while the SoC is still being
+    built, so it defers channel lookups ({!reader}, {!writer},
+    {!scratchpad}) to the first command, e.g. with [lazy]. Cores execute
+    one command at a time; further commands queue at the core. *)
 
 val create :
   ?memory_bytes:int ->
@@ -158,9 +164,6 @@ val create :
 
 val engine : t -> Desim.Engine.t
 
-val uid : t -> int
-(** Unique per SoC instance within the process. *)
-
 val tracer : t -> Trace.t option
 (** The structured tracer given at construction, if any. *)
 
@@ -177,9 +180,6 @@ val core_hung : t -> system_id:int -> core_id:int -> bool
 val design : t -> Elaborate.t
 val platform : t -> Platform.Device.t
 val dram : t -> Dram.t
-
-val axi : t -> Axi.t
-(** DDR controller port 0 (carries the optional trace). *)
 
 val axi_ports : t -> Axi.t array
 (** One port per DDR controller; memory channels are assigned round-robin

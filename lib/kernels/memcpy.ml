@@ -94,7 +94,7 @@ let behavior : Soc.behavior =
          completed word, however many AXI beats the platform needed to
          carry it in *)
       if (offset + n) mod 64 = 0 || offset + n >= bytes then
-        Soc.Writer.push writer ~on_accept:(fun () -> ()) ())
+        Soc.Writer.push writer ~on_accept:(fun () -> ()))
     ~on_done:(fun () -> ())
     ()
 

@@ -121,30 +121,20 @@ let tenants () =
    and behaviors still resolve). *)
 let deploy (k : Knobs.t) kind ~n_cores =
   let sys = Serve.system_of_kind kind ~n_cores in
-  let rd (rc : B.Config.read_channel) =
+  let retune (c : B.Config.channel) =
     {
-      rc with
-      B.Config.rc_n_channels = k.Knobs.kn_channels;
-      rc_max_in_flight = k.Knobs.kn_in_flight;
-      rc_buffer_beats =
-        max rc.B.Config.rc_buffer_beats
-          (rc.B.Config.rc_burst_beats * k.Knobs.kn_in_flight);
-    }
-  in
-  let wr (wc : B.Config.write_channel) =
-    {
-      wc with
-      B.Config.wc_n_channels = k.Knobs.kn_channels;
-      wc_max_in_flight = k.Knobs.kn_in_flight;
-      wc_buffer_beats =
-        max wc.B.Config.wc_buffer_beats
-          (wc.B.Config.wc_burst_beats * k.Knobs.kn_in_flight);
+      c with
+      B.Config.ch_n_channels = k.Knobs.kn_channels;
+      ch_max_in_flight = k.Knobs.kn_in_flight;
+      ch_buffer_beats =
+        max c.B.Config.ch_buffer_beats
+          (c.B.Config.ch_burst_beats * k.Knobs.kn_in_flight);
     }
   in
   {
     sys with
-    B.Config.read_channels = List.map rd sys.B.Config.read_channels;
-    write_channels = List.map wr sys.B.Config.write_channels;
+    B.Config.read_channels = List.map retune sys.B.Config.read_channels;
+    write_channels = List.map retune sys.B.Config.write_channels;
   }
 
 let config_of ~tenants (k : Knobs.t) =

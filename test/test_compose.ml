@@ -270,6 +270,52 @@ let test_stats_report () =
   check_bool "mentions AXI" true (has "AXI:");
   check_bool "mentions NoC" true (has "NoC:")
 
+(* aws_f1 has four DDR controllers; memory channels spread over them by
+   endpoint, so the report's read latency must cover every port, not
+   port 0 alone. *)
+let test_stats_report_all_ports () =
+  let d = B.Elaborate.elaborate (Kernels.Campaign.config ~n_cores:2) D.aws_f1 in
+  let soc = B.Soc.create d ~behaviors:(fun _ -> Kernels.Memcpy.behavior) in
+  let h = Runtime.Handle.create soc in
+  (* unequal copies, so the ports' latency summaries differ *)
+  List.iter
+    (fun (core, bytes) ->
+      let src = Runtime.Handle.malloc h bytes
+      and dst = Runtime.Handle.malloc h bytes in
+      ignore
+        (Runtime.Handle.await h
+           (Runtime.Handle.send h ~system:"Memcpy" ~core
+              ~cmd:Kernels.Memcpy.command
+              ~args:
+                [
+                  ("src", Int64.of_int src.Runtime.Handle.rp_addr);
+                  ("dst", Int64.of_int dst.Runtime.Handle.rp_addr);
+                  ("bytes", Int64.of_int bytes);
+                ])))
+    [ (0, 4096); (1, 32768) ];
+  let summaries =
+    Array.to_list (B.Soc.axi_ports soc)
+    |> List.map (fun p -> Desim.Stats.summarize_opt (Axi.read_latency p))
+  in
+  check_bool "reads on a port other than ddr0" true
+    (List.exists Option.is_some (List.tl summaries));
+  let live = List.filter_map Fun.id summaries in
+  let sum f = List.fold_left (fun a s -> a +. f s) 0. live in
+  let mean = sum (fun s -> s.Desim.Stats.total) /. sum (fun s -> float_of_int s.Desim.Stats.n) in
+  let max = List.fold_left (fun a s -> Float.max a s.Desim.Stats.max) 0. live in
+  let expected =
+    Printf.sprintf "read latency mean %.0f ns (max %.0f)" (mean /. 1000.)
+      (max /. 1000.)
+  in
+  let report = B.Soc.stats_report soc in
+  let has needle =
+    let n = String.length needle and m = String.length report in
+    let rec go i = i + n <= m && (String.sub report i n = needle || go (i + 1)) in
+    go 0
+  in
+  if not (has expected) then
+    Alcotest.failf "expected %S in the report:\n%s" expected report
+
 let () =
   Alcotest.run "compose"
     [
@@ -300,5 +346,7 @@ let () =
           Alcotest.test_case "command validation" `Quick
             test_send_command_validation;
           Alcotest.test_case "stats report" `Quick test_stats_report;
+          Alcotest.test_case "stats report, all ports" `Quick
+            test_stats_report_all_ports;
         ] );
     ]

@@ -166,6 +166,86 @@ let test_axi_retry_exhaustion_terminates () =
     (r.Kernels.Campaign.recovered + r.Kernels.Campaign.unrecovered);
   check_int "nothing left pending" 0 r.Kernels.Campaign.pending
 
+(* Every ledger entry that resolves an AXI error of [cls] names the
+   path that gave up or recovered: "<port> <what>@0x<addr>". *)
+let check_sites ~cls ~what log =
+  let resolved =
+    List.filter
+      (fun (e : F.Log.entry) ->
+        e.F.Log.cls = cls
+        && (e.F.Log.kind = F.Log.Recovered || e.F.Log.kind = F.Log.Unrecovered))
+      log
+  in
+  check_bool "resolutions logged" true (resolved <> []);
+  let has_what (e : F.Log.entry) =
+    let needle = " " ^ what ^ "@0x" and s = e.F.Log.site in
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  check_bool ("every site is a " ^ what) true (List.for_all has_what resolved)
+
+let test_axi_write_retry_exhaustion_terminates () =
+  (* the Writer stream path (begin_txn/push) under a write error on
+     every attempt: each burst gives up and the transaction completes *)
+  let r = small_campaign ~plan:(only F.Class.Axi_write_error 1.0 3) in
+  check_bool "gave up on something" true (r.Kernels.Campaign.unrecovered > 0);
+  check_int "every command completed in time" 0
+    (r.Kernels.Campaign.command_timeouts + r.Kernels.Campaign.failed_commands);
+  check_int "accounting closes" r.Kernels.Campaign.injected
+    (r.Kernels.Campaign.recovered + r.Kernels.Campaign.unrecovered);
+  check_int "nothing left pending" 0 r.Kernels.Campaign.pending;
+  check_sites ~cls:F.Class.Axi_write_error ~what:"wr burst"
+    r.Kernels.Campaign.log
+
+(* One core whose command is a single [Reader.bulk] or [Writer.bulk] of
+   8 KB, with every AXI attempt of [cls] failing: the bulk transfer must
+   still complete and every injected error must resolve. *)
+let bulk_under_errors ~cls ~what bulk =
+  let inj = F.Injector.create (only cls 1.0 5) in
+  let design =
+    Beethoven.Elaborate.elaborate (Kernels.Campaign.config ~n_cores:1) D.aws_f1
+  in
+  let soc =
+    Beethoven.Soc.create ~fault:inj design ~behaviors:(fun _ ->
+        fun ctx _ ~respond -> bulk ctx ~on_done:(fun () -> respond 1L))
+  in
+  let responded = ref false in
+  Beethoven.Soc.send_command soc
+    {
+      Beethoven.Rocc.system_id = 0;
+      core_id = 0;
+      funct = 99;
+      expects_response = true;
+      payload1 = 0L;
+      payload2 = 0L;
+    }
+    ~on_response:(fun _ -> responded := true);
+  Desim.Engine.drain_or_fail (Beethoven.Soc.engine soc);
+  check_bool "bulk completed" true !responded;
+  check_bool "gave up on something" true (F.Injector.total_unrecovered inj > 0);
+  check_int "accounting closes"
+    (F.Injector.total_injected inj)
+    (F.Injector.total_recovered inj + F.Injector.total_unrecovered inj);
+  check_int "nothing left pending" 0 (F.Injector.pending_lost inj);
+  check_sites ~cls ~what (F.Injector.entries inj)
+
+let test_reader_bulk_retry_exhaustion () =
+  bulk_under_errors ~cls:F.Class.Axi_read_error ~what:"rd-bulk seg"
+    (fun ctx ~on_done ->
+      Beethoven.Soc.Reader.bulk
+        (Beethoven.Soc.reader ctx "src")
+        ~addr:4096 ~bytes:8192 ~on_done)
+
+let test_writer_bulk_retry_exhaustion () =
+  bulk_under_errors ~cls:F.Class.Axi_write_error ~what:"wr-bulk seg"
+    (fun ctx ~on_done ->
+      Beethoven.Soc.Writer.bulk
+        (Beethoven.Soc.writer ctx "dst")
+        ~addr:4096 ~bytes:8192 ~on_done)
+
 let test_dma_failure_surfaces_as_corruption () =
   let r = small_campaign ~plan:(only F.Class.Dma_fail 1.0 4) in
   check_bool "dma gave up" true (r.Kernels.Campaign.unrecovered > 0);
@@ -367,6 +447,12 @@ let () =
         [
           Alcotest.test_case "axi retry exhaustion terminates" `Quick
             test_axi_retry_exhaustion_terminates;
+          Alcotest.test_case "write retry exhaustion" `Quick
+            test_axi_write_retry_exhaustion_terminates;
+          Alcotest.test_case "reader bulk retry exhaustion" `Quick
+            test_reader_bulk_retry_exhaustion;
+          Alcotest.test_case "writer bulk retry exhaustion" `Quick
+            test_writer_bulk_retry_exhaustion;
           Alcotest.test_case "dma failure surfaces as corruption" `Quick
             test_dma_failure_surfaces_as_corruption;
           Alcotest.test_case "double flips unrecovered" `Quick

@@ -82,11 +82,9 @@ let elaboration_invariants platform config =
             acc
             + sys.C.n_cores
               * (List.fold_left
-                   (fun a rc -> a + rc.C.rc_n_channels)
-                   0 sys.C.read_channels
-                + List.fold_left
-                    (fun a wc -> a + wc.C.wc_n_channels)
-                    0 sys.C.write_channels
+                   (fun a c -> a + c.C.ch_n_channels)
+                   0
+                   (sys.C.read_channels @ sys.C.write_channels)
                 + List.length
                     (List.filter
                        (fun sp -> sp.C.sp_init_from_memory)

@@ -198,6 +198,46 @@ let test_rtl_core_soc_collected () =
   Gc.full_major ();
   check_bool "dropped SoC collected" true !collected
 
+let test_rtl_core_state_per_core () =
+  (* each core of a SoC builds its simulator once, on its first command,
+     and keeps it for every later one; another SoC builds its own *)
+  let builds = ref 0 in
+  let behavior =
+    B.Rtl_core.behavior
+      ~build:(fun () ->
+        incr builds;
+        Kernels.Vecadd_rtl.circuit ())
+      ()
+  in
+  let run_soc () =
+    let design =
+      B.Elaborate.elaborate (Kernels.Vecadd_rtl.config ~n_cores:2 ()) D.aws_f1
+    in
+    let soc = B.Soc.create design ~behaviors:(fun _ -> behavior) in
+    let module H = Runtime.Handle in
+    let handle = H.create soc in
+    let p = H.malloc handle 256 in
+    for _ = 1 to 3 do
+      List.iter
+        (fun core ->
+          ignore
+            (H.await handle
+               (H.send handle ~system:"VecAddRTL" ~core
+                  ~cmd:Kernels.Vecadd_rtl.command
+                  ~args:
+                    [
+                      ("vec_addr", Int64.of_int p.H.rp_addr);
+                      ("addend", 1L);
+                      ("n_eles", 16L);
+                    ])))
+        [ 0; 1 ]
+    done
+  in
+  run_soc ();
+  check_int "one build per core" 2 !builds;
+  run_soc ();
+  check_int "a second SoC builds its own" 4 !builds
+
 let test_rtl_missing_port_rejected () =
   let bad () =
     let open Hw.Signal in
@@ -271,7 +311,9 @@ let run_spad_cores ?backend ~feedback rows =
     B.Rtl_core.behavior ?backend ~build:(spad_circuit ~feedback) ()
   in
   let behavior : B.Soc.behavior =
-   fun ctx beats ~respond ->
+   fun ctx ->
+    let rtl = rtl ctx in
+    fun beats ~respond ->
     List.iter
       (fun name ->
         let sp = B.Soc.scratchpad ctx name in
@@ -279,7 +321,7 @@ let run_spad_cores ?backend ~feedback rows =
           B.Soc.Scratchpad.set_u64 sp r (spad_row name r)
         done)
       [ "a"; "b" ];
-    rtl ctx beats ~respond
+    rtl beats ~respond
   in
   let soc =
     B.Soc.create (B.Elaborate.elaborate cfg D.aws_f1) ~behaviors:(fun _ ->
@@ -471,6 +513,8 @@ let () =
           Alcotest.test_case "in soc" `Quick test_rtl_core_in_soc;
           Alcotest.test_case "sequential commands" `Quick
             test_rtl_core_sequential_commands;
+          Alcotest.test_case "state per core" `Quick
+            test_rtl_core_state_per_core;
           Alcotest.test_case "missing ports" `Quick
             test_rtl_missing_port_rejected;
           Alcotest.test_case "dropped soc collected" `Quick

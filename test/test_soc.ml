@@ -93,7 +93,7 @@ let test_writer_counts_and_completion () =
             respond 7L);
         let rec push i =
           if i < n then
-            Soc.Writer.push w ~on_accept:(fun () -> push (i + 1)) ()
+            Soc.Writer.push w ~on_accept:(fun () -> push (i + 1))
         in
         push 0)
   in

@@ -142,8 +142,8 @@ let test_one_knob_delta () =
         sys with
         C.read_channels =
           List.map
-            (fun (rc : C.read_channel) ->
-              { rc with C.rc_n_channels = rc.C.rc_n_channels + 1 })
+            (fun (rc : C.channel) ->
+              { rc with C.ch_n_channels = rc.C.ch_n_channels + 1 })
             sys.C.read_channels;
       }
   in
